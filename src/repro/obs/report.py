@@ -156,6 +156,10 @@ def _derived(metrics: dict[str, object], name: str) -> float | None:
     return None if value is None else float(value)
 
 
+#: The simulator's timed stages, in pipeline order.
+_SIM_STAGES = ("sim.lower", "sim.compile", "sim.kernel")
+
+
 def _metrics_sections(metrics: dict[str, object]) -> list[str]:
     lines: list[str] = []
 
@@ -181,6 +185,16 @@ def _metrics_sections(metrics: dict[str, object]) -> list[str]:
             f"sim backend(s): {', '.join(sorted(sim_backends))} "
             f"({runs} kernel run(s))"
         )
+
+    timers: dict = metrics.get("timers") or {}  # type: ignore[assignment]
+    stages = [
+        f"{name} {timers[name]['count']}x "
+        f"{_format_seconds(timers[name]['total_seconds']).strip()}"
+        for name in _SIM_STAGES
+        if name in timers
+    ]
+    if stages:
+        lines.append("sim stages: " + " | ".join(stages))
 
     backends = [
         name.rsplit(".", 1)[1]

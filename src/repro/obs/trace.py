@@ -58,7 +58,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import ContextManager, Iterator, Sequence
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -187,7 +187,9 @@ class NullSpan:
     """No-op stand-in yielded while tracing is disabled.
 
     Falsy, so instrumentation can skip attribute/event preparation with a
-    bare ``if span:`` — the pattern every hot path in this repo uses.
+    bare ``if span:`` — the pattern every hot path in this repo uses.  It
+    is its own context manager, so a disabled :meth:`Tracer.span` returns
+    it directly instead of building a generator per call.
     """
 
     __slots__ = ()
@@ -195,6 +197,12 @@ class NullSpan:
 
     def __bool__(self) -> bool:
         return False
+
+    def __enter__(self) -> "NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
 
     def set_attr(self, name: str, value: object) -> None:
         pass
@@ -247,22 +255,26 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @contextmanager
     def span(
         self,
         name: str,
         attrs: dict[str, object] | None = None,
         *,
         tid: str | None = None,
-    ) -> Iterator[Span | NullSpan]:
+    ) -> ContextManager[Span | NullSpan]:
         """Open a child span of the thread's current span for the body.
 
-        Disabled tracers yield the shared :data:`NULL_SPAN` without
+        Disabled tracers return the shared :data:`NULL_SPAN` without
         recording anything — the fast path costs one attribute check.
         """
         if not self.enabled:
-            yield NULL_SPAN
-            return
+            return NULL_SPAN
+        return self._open_span(name, attrs, tid)
+
+    @contextmanager
+    def _open_span(
+        self, name: str, attrs: dict[str, object] | None, tid: str | None
+    ) -> Iterator[Span]:
         stack = self._stack()
         parent = stack[-1] if stack else None
         span = Span(

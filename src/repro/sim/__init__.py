@@ -38,7 +38,7 @@ from .runner import (
     run_model,
     scheme_config,
 )
-from .sm import SmState, SmStats, TileStep
+from .sm import LoweredStreams, SmState, SmStats, TileStep
 from .roofline import RooflinePrediction, predict_streams
 from .trace import TraceStats, dump_streams, load_streams, trace_stats
 from .workloads import (
@@ -93,6 +93,7 @@ __all__ = [
     "SmState",
     "SmStats",
     "TileStep",
+    "LoweredStreams",
     "DEFAULT_TILE",
     "gemm_layer_streams",
     "layer_streams",

@@ -12,6 +12,10 @@ geometry, and every order-independent statistic), then advances the event
 loop over those arrays — through the cc-compiled kernel of
 :mod:`repro.sim._native` when a C toolchain is available, or an equivalent
 pure-Python loop otherwise — with no per-request object traffic either way.
+The lowering (:mod:`repro.sim.workloads`) already emits its streams as
+flat arrays (:class:`~repro.sim.sm.LoweredStreams`), so no request object
+exists anywhere on this path; only hand-built or trace-loaded
+:class:`~repro.sim.sm.TileStep` lists are flattened object by object.
 
 Two design rules make the backend trustworthy:
 
@@ -44,14 +48,14 @@ from __future__ import annotations
 import heapq
 import os
 from collections import OrderedDict
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..crypto.counter_cache import _CacheLine
 from .config import EncryptionMode, GpuConfig
 from .memctrl import _COUNTER_BLOCK_BYTES, MemoryController
-from .request import Access
-from .sm import SmState, SmStats, TileStep
+from .sm import LoweredStreams, SmState, SmStats, TileStep
 
 __all__ = [
     "BACKENDS",
@@ -100,8 +104,10 @@ _EMPTY_I64 = np.zeros(0, dtype=_I64)
 
 
 class CompiledKernel:
-    """Streams lowered to flat structure-of-arrays primitives.
+    """Streams compiled to the event loop's flat structure-of-arrays.
 
+    Built by :func:`compile_streams` from the lowering's arrays with bulk
+    NumPy only — no per-request Python object is created or visited.
     Requests are rows across parallel arrays, indexed the way the scalar
     engine would issue them: each step's reads and writes occupy contiguous
     index ranges (``step_read/write_[start|end]``), steps occupy contiguous
@@ -169,9 +175,16 @@ class CompiledKernel:
 
 
 def compile_streams(
-    config: GpuConfig, streams: list[list[TileStep]]
+    config: GpuConfig, streams: LoweredStreams | Sequence[Sequence[TileStep]]
 ) -> CompiledKernel:
-    """Lower per-SM step streams into the vector engine's flat arrays."""
+    """Compile lowered streams into the vector engine's flat arrays.
+
+    The lowering already emits per-request and per-step arrays
+    (:class:`~repro.sim.sm.LoweredStreams`), so compilation is bulk NumPy
+    over them; hand-built or trace-loaded :class:`TileStep` lists are
+    flattened first.
+    """
+    lowered = LoweredStreams.from_steps(streams)
     encryption = config.encryption
     mode = encryption.mode
     if mode is EncryptionMode.DIRECT:
@@ -183,54 +196,32 @@ def compile_streams(
     auth = bool(encryption.authenticate and mode_code != _BYPASS)
     cap = max(1, config.max_outstanding_per_sm)
 
-    # Pass 1: flatten the step objects into parallel per-request and
-    # per-step lists.  Everything here is a bulk list comprehension — no
-    # per-step statement block — because this gather visits millions of
-    # requests on real layer sets and per-step Python used to dominate the
-    # whole backend.  ``Access.READ`` identity beats the ``is_read``
-    # property for the same reason (the property is a Python call each).
-    addr_l: list[int] = []
-    size_l: list[int] = []
-    read_l: list[bool] = []
-    enc_l: list[bool] = []
-    step_cc: list[float] = []
-    nreads_l: list[int] = []
-    nwrites_l: list[int] = []
-    sm_start: list[int] = []
-    sm_end: list[int] = []
-    sm_stats: list[SmStats] = []
-    _READ = Access.READ
-    for stream in streams:
-        sm_start.append(len(step_cc))
-        nr = [len(s.reads) for s in stream]
-        nw = [len(s.writes) for s in stream]
-        cc = [s.compute_cycles for s in stream]
-        stats = SmStats()
-        stats.instructions = sum(s.instructions for s in stream)
-        # Left-to-right sum == the scalar engine's per-step accumulation.
-        stats.busy_cycles = sum(cc)
-        stats.steps = len(stream)
-        stats.read_requests = sum(nr)
-        stats.write_requests = sum(nw)
-        sm_stats.append(stats)
-        step_cc += cc
-        nreads_l += nr
-        nwrites_l += nw
-        # Flat request order: each step's reads, then its writes.
-        reqs = [r for s in stream for r in s.reads + s.writes]
-        addr_l += [r.address for r in reqs]
-        size_l += [r.size for r in reqs]
-        read_l += [r.access is _READ for r in reqs]
-        enc_l += [r.encrypted for r in reqs]
-        sm_end.append(len(step_cc))
-
     # Step boundaries as flat request indices, from one cumulative sum
     # (reads span [rs, re), writes [re, we) — writes start where reads end).
-    nr_a = np.asarray(nreads_l, dtype=_I64)
-    nw_a = np.asarray(nwrites_l, dtype=_I64)
+    nr_a = lowered.step_reads
+    nw_a = lowered.step_writes
     step_we_a = np.cumsum(nr_a + nw_a)
     step_rs_a = step_we_a - nr_a - nw_a
     step_re_a = step_rs_a + nr_a
+    sm_end_a = np.cumsum(lowered.sm_steps)
+    sm_start_a = sm_end_a - lowered.sm_steps
+
+    # Per-SM totals.  Left-to-right sums over Python numbers reproduce the
+    # scalar engine's per-step accumulation exactly.
+    cycles_l = lowered.step_cycles.tolist()
+    instructions_l = lowered.step_instructions.tolist()
+    nr_l = nr_a.tolist()
+    nw_l = nw_a.tolist()
+    sm_stats = [
+        SmStats(
+            instructions=sum(instructions_l[start:end]),
+            busy_cycles=sum(cycles_l[start:end]),
+            steps=end - start,
+            read_requests=sum(nr_l[start:end]),
+            write_requests=sum(nw_l[start:end]),
+        )
+        for start, end in zip(sm_start_a.tolist(), sm_end_a.tolist())
+    ]
 
     # Pass 2: bulk array math over every request at once.
     channels = config.num_channels
@@ -238,11 +229,11 @@ def compile_streams(
     row_bytes = config.row_buffer_bytes
     banks = config.banks_per_channel
     dram_rate = config.channel_bytes_per_cycle
-    n = len(addr_l)
-    address = np.asarray(addr_l, dtype=_I64)
-    sizes = np.asarray(size_l, dtype=_I64)
-    enc_a = np.asarray(enc_l, dtype=bool)
-    read_a = np.asarray(read_l, dtype=bool)
+    n = lowered.num_requests
+    address = lowered.address
+    sizes = lowered.size
+    enc_a = lowered.encrypted
+    read_a = lowered.is_read
     channel = (address // line_bytes) % channels
     bank = (address // row_bytes) % banks
     row = address // (row_bytes * banks)
@@ -363,13 +354,13 @@ def compile_streams(
         run_write=run_write,
         run_addr_start=run_addr_start,
         run_addr=run_addr,
-        step_cycles=np.asarray(step_cc, dtype=np.float64),
+        step_cycles=lowered.step_cycles.astype(np.float64),
         step_read_start=step_rs_a,
         step_read_end=step_re_a,
         step_write_start=step_re_a,
         step_write_end=step_we_a,
-        sm_step_start=np.asarray(sm_start, dtype=_I64),
-        sm_step_end=np.asarray(sm_end, dtype=_I64),
+        sm_step_start=sm_start_a,
+        sm_step_end=sm_end_a,
         sm_stats=sm_stats,
         read_requests=_by_channel(read_a),
         write_requests=_by_channel(~read_a),
@@ -389,9 +380,10 @@ def compile_streams(
 def run_vector(
     config: GpuConfig,
     controllers: list[MemoryController],
-    streams: list[list[TileStep]],
+    compiled: CompiledKernel,
 ) -> tuple[float, list[SmState]]:
-    """Execute streams on the vector backend; returns (finish, SM states).
+    """Execute a compiled kernel on the vector backend; returns (finish,
+    SM states).
 
     Mutates ``controllers`` (server clocks, statistics, counter caches) the
     same way a scalar run would, so the caller's collection and tracing
@@ -400,9 +392,9 @@ def run_vector(
     pure-Python loop — both consume the same compiled arrays and produce
     bit-identical results.
     """
-    if len(streams) > config.num_sms:
-        raise ValueError(f"{len(streams)} streams for {config.num_sms} SMs")
-    compiled = compile_streams(config, streams)
+    num_streams = len(compiled.sm_stats)
+    if num_streams > config.num_sms:
+        raise ValueError(f"{num_streams} streams for {config.num_sms} SMs")
 
     from . import _native
 

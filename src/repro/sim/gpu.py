@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from .config import EncryptionMode, GpuConfig
-from .engine import resolve_sim_backend, run_vector
+from . import engine
+from .engine import CompiledKernel, resolve_sim_backend
 from .memctrl import MemoryController
 from .request import MemRequest
-from .sm import SmState, SmStats, TileStep
+from .sm import LoweredStreams, SmState, SmStats, TileStep
 
 __all__ = ["SimResult", "GpuSimulator"]
 
@@ -107,20 +109,34 @@ class GpuSimulator:
         return done
 
     # ------------------------------------------------------------------
-    def run(self, streams: list[list[TileStep]], label: str = "") -> SimResult:
+    def run(
+        self, streams: LoweredStreams | Sequence[Sequence[TileStep]], label: str = ""
+    ) -> SimResult:
         """Execute one stream of tile steps per SM to completion.
 
         ``streams`` shorter than ``num_sms`` leave the remaining SMs idle
         (small kernels do not fill the machine, exactly as on hardware).
+
+        Two stages, each with its own span and metrics timer:
+        ``sim.compile`` turns the streams into the engine's input
+        (:func:`repro.sim.engine.compile_streams` on the vector backend,
+        the materialised :class:`TileStep` lists on the scalar one), and
+        ``sim.kernel`` times the event simulation alone.
         """
         metrics = get_metrics()
         metrics.count("sim.kernel_runs")
         metrics.count(f"sim.backend.{self.backend}")
         tracer = get_tracer()
+        with tracer.span("sim.compile"), metrics.timer("sim.compile"):
+            if self.backend == "vector":
+                # Looked up on the module so wrappers installed there apply.
+                program = engine.compile_streams(self.config, streams)
+            else:
+                program = [list(stream) for stream in streams]
         with tracer.span("sim.kernel") as span:
             wall_start = time.time()
             with metrics.timer("sim.kernel"):
-                result = self._run(streams, label)
+                result = self._run(program, label)
             if span:
                 self._annotate_span(span, result, wall_start)
         metrics.count("sim.data_bytes", result.data_bytes)
@@ -162,11 +178,13 @@ class GpuSimulator:
                 parent=span,
             )
 
-    def _run(self, streams: list[list[TileStep]], label: str = "") -> SimResult:
+    def _run(
+        self, program: CompiledKernel | list[list[TileStep]], label: str = ""
+    ) -> SimResult:
         if self.backend == "vector":
-            finish_time, sms = run_vector(self.config, self.controllers, streams)
+            finish_time, sms = engine.run_vector(self.config, self.controllers, program)
             return self._collect(label, finish_time, sms)
-        return self._run_scalar(streams, label)
+        return self._run_scalar(program, label)
 
     def _run_scalar(self, streams: list[list[TileStep]], label: str = "") -> SimResult:
         if len(streams) > self.config.num_sms:

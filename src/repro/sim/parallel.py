@@ -182,13 +182,17 @@ class SimUnit:
 
 
 def simulate_unit(unit: SimUnit) -> SimResult:
-    """Run one unit cold (no cache, current process)."""
+    """Run one unit cold (no cache, current process).
+
+    Lowering is timed as ``sim.lower``; :meth:`GpuSimulator.run` times the
+    ``sim.compile`` and ``sim.kernel`` stages after it.
+    """
     tracer = get_tracer()
     with tracer.span(
         "sim.unit", {"label": unit.label, "tile": unit.tile} if tracer.enabled else None
     ):
         simulator = GpuSimulator(unit.config)
-        with tracer.span("sim.lower"):
+        with tracer.span("sim.lower"), get_metrics().timer("sim.lower"):
             streams = layer_streams(
                 unit.config, unit.traffic, tile=unit.tile, heap=SecureHeap()
             )

@@ -14,17 +14,26 @@ layers in the moderately bandwidth-bound regime and 1024³ matmul near the
 compute/bandwidth balance point — the regimes the paper's Figures 1 and 5
 report.  POOL layers are almost pure streaming and therefore the most
 bandwidth-bound (Figure 6).
+
+The lowering is computed in bulk with NumPy and emits
+:class:`~repro.sim.sm.LoweredStreams` — the flat per-request and per-step
+arrays the vector engine compiles — so no Python object is built per
+request or per step unless a consumer indexes the streams (the scalar
+engine and the trace tools do).  ``tests/sim/reference_lowering.py`` keeps
+the former object-by-object lowering, and the equivalence suite pins this
+one to it request for request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.memory import Allocation, SecureHeap
 from ..core.plan import LayerTraffic
 from .config import GpuConfig
-from .request import Access, MemRequest
-from .sm import TileStep
+from .sm import LoweredStreams
 
 __all__ = [
     "DEFAULT_TILE",
@@ -45,73 +54,12 @@ POOL_OPS_PER_ELEMENT = 8
 MAX_STEPS_PER_SM = 4096
 
 
-@dataclass
-class _RegionCursor:
-    """Sequentially walks an allocation, wrapping at the end.
-
-    Wrapping models operand reuse: a second sweep revisits the same
-    addresses, which is what gives the counter cache its hits.
-    """
-
-    allocation: Allocation | None
-    offset: int = 0
-
-    def take(self, nbytes: int, line_bytes: int) -> int:
-        """Line-aligned address for the next ``nbytes`` chunk."""
-        if self.allocation is None or nbytes <= 0:
-            raise ValueError("cursor has no backing region")
-        usable = max(self.allocation.size, line_bytes)
-        address = self.allocation.address + (self.offset % usable) // line_bytes * line_bytes
-        self.offset += nbytes
-        return address
-
-
-def _split_requests(
-    cursor: _RegionCursor,
-    nbytes: int,
-    *,
-    access: Access,
-    encrypted: bool,
-    sm_id: int,
-    line_bytes: int,
-    parts: int,
-    tag: str,
-) -> list[MemRequest]:
-    """Spread ``nbytes`` over ``parts`` requests at line-stepped addresses.
-
-    Splitting keeps the channel interleave realistic (consecutive lines map
-    to consecutive channels) without materialising one request per line.
-    """
-    if nbytes <= 0:
-        return []
-    parts = max(1, min(parts, nbytes // line_bytes or 1))
-    share = nbytes // parts
-    remainder = nbytes - share * parts
-    requests = []
-    for index in range(parts):
-        size = share + (remainder if index == parts - 1 else 0)
-        if size <= 0:
-            continue
-        address = cursor.take(size, line_bytes)
-        requests.append(
-            MemRequest(
-                address=address,
-                size=size,
-                access=access,
-                encrypted=encrypted,
-                sm_id=sm_id,
-                tag=tag,
-            )
-        )
-    return requests
-
-
-@dataclass
-class _OperandRegions:
+@dataclass(frozen=True)
+class _Operand:
     """Encrypted/plaintext region pair for one operand, with split ratio."""
 
-    encrypted: _RegionCursor | None
-    plain: _RegionCursor | None
+    encrypted: Allocation | None
+    plain: Allocation | None
     encrypted_fraction: float
 
     @classmethod
@@ -121,71 +69,30 @@ class _OperandRegions:
         name: str,
         encrypted_bytes: int,
         plain_bytes: int,
-    ) -> "_OperandRegions":
+    ) -> "_Operand":
         total = encrypted_bytes + plain_bytes
         fraction = encrypted_bytes / total if total else 0.0
-        enc = (
-            _RegionCursor(heap.emalloc(f"{name}.enc", encrypted_bytes))
-            if encrypted_bytes
-            else None
-        )
-        plain = (
-            _RegionCursor(heap.malloc(f"{name}.plain", plain_bytes))
-            if plain_bytes
-            else None
-        )
+        enc = heap.emalloc(f"{name}.enc", encrypted_bytes) if encrypted_bytes else None
+        plain = heap.malloc(f"{name}.plain", plain_bytes) if plain_bytes else None
         return cls(enc, plain, fraction)
 
-    def requests(
-        self,
-        nbytes: int,
-        *,
-        access: Access,
-        sm_id: int,
-        line_bytes: int,
-        parts: int,
-        tag: str,
-    ) -> list[MemRequest]:
-        """Reads/writes for ``nbytes`` of this operand, split by criticality."""
-        encrypted_bytes = int(round(nbytes * self.encrypted_fraction))
-        plain_bytes = nbytes - encrypted_bytes
-        requests: list[MemRequest] = []
-        if encrypted_bytes and self.encrypted is not None:
-            requests += _split_requests(
-                self.encrypted,
-                encrypted_bytes,
-                access=access,
-                encrypted=True,
-                sm_id=sm_id,
-                line_bytes=line_bytes,
-                parts=parts,
-                tag=tag,
-            )
-        elif encrypted_bytes and self.plain is not None:
-            plain_bytes += encrypted_bytes
-        if plain_bytes and self.plain is not None:
-            requests += _split_requests(
-                self.plain,
-                plain_bytes,
-                access=access,
-                encrypted=False,
-                sm_id=sm_id,
-                line_bytes=line_bytes,
-                parts=parts,
-                tag=tag,
-            )
-        elif plain_bytes and self.encrypted is not None:
-            requests += _split_requests(
-                self.encrypted,
-                plain_bytes,
-                access=access,
-                encrypted=True,
-                sm_id=sm_id,
-                line_bytes=line_bytes,
-                parts=parts,
-                tag=tag,
-            )
-        return requests
+    def segments(
+        self, nbytes: np.ndarray
+    ) -> list[tuple[Allocation, bool, np.ndarray]]:
+        """``(region, encrypted, bytes)`` per criticality part of each
+        access of ``nbytes``, the encrypted part first.
+
+        A part whose own region does not exist goes to the operand's other
+        region (and takes that region's criticality).
+        """
+        enc = np.rint(nbytes * self.encrypted_fraction).astype(np.int64)
+        if self.encrypted is not None and self.plain is not None:
+            return [(self.encrypted, True, enc), (self.plain, False, nbytes - enc)]
+        if self.encrypted is not None:
+            return [(self.encrypted, True, enc), (self.encrypted, True, nbytes - enc)]
+        if self.plain is not None:
+            return [(self.plain, False, nbytes)]
+        return []
 
 
 def _tile_sizes(extent: int, tile: int) -> list[int]:
@@ -196,6 +103,96 @@ def _tile_sizes(extent: int, tile: int) -> list[int]:
     return [tile] * full + ([rest] if rest else [])
 
 
+def _lower(
+    config: GpuConfig,
+    step_sm: np.ndarray,
+    step_cycles: np.ndarray,
+    accesses: list[tuple[_Operand, np.ndarray, bool, str]],
+) -> LoweredStreams:
+    """Lay out every step's requests and group the steps by SM.
+
+    ``step_sm``/``step_cycles`` describe the steps in generation order;
+    each ``(operand, bytes per step, is_read, tag)`` entry of ``accesses``
+    is one operand access per step, in issue order (reads before writes).
+    Each criticality part of an access is split into up to
+    ``num_channels`` line-stepped requests (keeping the channel interleave
+    realistic without one request per line), the last taking the
+    remainder.  A region's requests take consecutive offsets — the running
+    sum of their sizes in generation order — wrapping at the region's end,
+    which models operand reuse (a second sweep revisits the same addresses,
+    giving the counter cache its hits).
+    """
+    line = config.line_bytes
+    num_steps = len(step_sm)
+    regions: list[Allocation] = []
+    columns = []  # (region index, encrypted, is_read, tag index, bytes per step)
+    for tag_id, (operand, nbytes, is_read, _) in enumerate(accesses):
+        for allocation, encrypted, sizes in operand.segments(nbytes):
+            if allocation not in regions:
+                regions.append(allocation)
+            columns.append((regions.index(allocation), encrypted, is_read, tag_id, sizes))
+
+    # Criticality parts in generation order: step-major, then column.
+    part_bytes = (
+        np.stack([sizes for *_, sizes in columns], axis=1).ravel()
+        if columns
+        else np.zeros(0, dtype=np.int64)
+    )
+    part_column = np.tile(np.arange(len(columns)), num_steps)
+    part_step = np.repeat(np.arange(num_steps), len(columns))
+    keep = part_bytes > 0
+    part_bytes, part_column, part_step = part_bytes[keep], part_column[keep], part_step[keep]
+
+    # Channel split of each part.
+    pieces = np.minimum(config.num_channels, np.maximum(part_bytes // line, 1))
+    share = part_bytes // pieces
+    owner = np.repeat(np.arange(len(part_bytes)), pieces)
+    size = share[owner]
+    last = np.cumsum(pieces) - 1
+    size[last] += part_bytes - share * pieces
+    column = part_column[owner]
+    step = part_step[owner]
+
+    def per_column(index: int, dtype) -> np.ndarray:
+        return np.array([c[index] for c in columns], dtype=dtype)[column]
+
+    region = per_column(0, np.int64)
+    encrypted = per_column(1, bool)
+    is_read = per_column(2, bool)
+    tag = per_column(3, np.int64)
+
+    address = np.empty(len(size), dtype=np.int64)
+    for region_id, allocation in enumerate(regions):
+        mask = region == region_id
+        taken = size[mask]
+        offset = np.cumsum(taken) - taken
+        usable = max(allocation.size, line)
+        address[mask] = allocation.address + offset % usable // line * line
+
+    # Group steps by SM (stable), carrying each step's request block along.
+    per_step = np.bincount(step, minlength=num_steps)
+    reads = np.bincount(step[is_read], minlength=num_steps)
+    order = np.argsort(step_sm, kind="stable")
+    moved = per_step[order]
+    gather = np.repeat(
+        (np.cumsum(per_step) - per_step)[order] - (np.cumsum(moved) - moved), moved
+    ) + np.arange(len(size))
+    cycles = step_cycles[order]
+    return LoweredStreams(
+        address=address[gather],
+        size=size[gather],
+        is_read=is_read[gather],
+        encrypted=encrypted[gather],
+        tag=tag[gather],
+        tags=tuple(tag_name for *_, tag_name in accesses),
+        step_cycles=cycles,
+        step_instructions=cycles,
+        step_reads=reads[order],
+        step_writes=(per_step - reads)[order],
+        sm_steps=np.bincount(step_sm, minlength=config.num_sms),
+    )
+
+
 def _gemm_streams(
     config: GpuConfig,
     *,
@@ -203,13 +200,13 @@ def _gemm_streams(
     m: int,
     n: int,
     k: int,
-    a_regions: _OperandRegions,
-    b_regions: _OperandRegions,
-    c_regions: _OperandRegions,
+    a: _Operand,
+    b: _Operand,
+    c: _Operand,
     macs_total: int,
     tile: int,
     element_bytes: int = 4,
-) -> list[list[TileStep]]:
+) -> LoweredStreams:
     """Lower C[m,n] = A[m,k] @ B[k,n] into per-SM tile-step streams.
 
     Output tiles are distributed round-robin over SMs; each output tile
@@ -218,8 +215,6 @@ def _gemm_streams(
     ``macs_total`` lets CONV layers charge their exact MAC count even when
     the lowered GEMM is padded.
     """
-    line = config.line_bytes
-    parts = config.num_channels
     m_tiles = _tile_sizes(m, tile)
     n_tiles = _tile_sizes(n, tile)
     k_tiles = _tile_sizes(k, tile)
@@ -229,56 +224,35 @@ def _gemm_streams(
     budget = MAX_STEPS_PER_SM * config.num_sms
     merge = max(1, -(-total_steps // budget))  # ceil division
     if merge > 1:
-        merged: list[int] = []
-        for start in range(0, len(k_tiles), merge):
-            merged.append(sum(k_tiles[start : start + merge]))
-        k_tiles = merged
+        k_tiles = [sum(k_tiles[i : i + merge]) for i in range(0, len(k_tiles), merge)]
 
+    # One row per step, generation order: output tiles row-major, k inner.
+    tile_m, tile_n, tile_k = (
+        grid.ravel()
+        for grid in np.meshgrid(
+            np.array(m_tiles, dtype=np.int64),
+            np.array(n_tiles, dtype=np.int64),
+            np.array(k_tiles, dtype=np.int64),
+            indexing="ij",
+        )
+    )
+    output_tiles = len(m_tiles) * len(n_tiles)
+    last_k = np.tile(np.arange(len(k_tiles)) == len(k_tiles) - 1, output_tiles)
     gemm_macs = m * n * k
     scale = macs_total / gemm_macs if gemm_macs else 1.0
-    streams: list[list[TileStep]] = [[] for _ in range(config.num_sms)]
-    sm_id = 0
-    for tile_m in m_tiles:
-        for tile_n in n_tiles:
-            stream = streams[sm_id]
-            for index, tile_k in enumerate(k_tiles):
-                reads = a_regions.requests(
-                    tile_m * tile_k * element_bytes,
-                    access=Access.READ,
-                    sm_id=sm_id,
-                    line_bytes=line,
-                    parts=parts,
-                    tag=f"{name}.A",
-                )
-                reads += b_regions.requests(
-                    tile_k * tile_n * element_bytes,
-                    access=Access.READ,
-                    sm_id=sm_id,
-                    line_bytes=line,
-                    parts=parts,
-                    tag=f"{name}.B",
-                )
-                writes: list[MemRequest] = []
-                if index == len(k_tiles) - 1:
-                    writes = c_regions.requests(
-                        tile_m * tile_n * element_bytes,
-                        access=Access.WRITE,
-                        sm_id=sm_id,
-                        line_bytes=line,
-                        parts=parts,
-                        tag=f"{name}.C",
-                    )
-                macs = int(tile_m * tile_n * tile_k * scale)
-                cycles = max(1, -(-macs // config.macs_per_sm_per_cycle))
-                stream.append(
-                    TileStep(
-                        compute_cycles=cycles,
-                        reads=tuple(reads),
-                        writes=tuple(writes),
-                    )
-                )
-            sm_id = (sm_id + 1) % config.num_sms
-    return streams
+    macs = (tile_m * tile_n * tile_k * scale).astype(np.int64)
+    cycles = np.maximum(1, -(-macs // config.macs_per_sm_per_cycle))
+    step_sm = np.repeat(np.arange(output_tiles) % config.num_sms, len(k_tiles))
+    return _lower(
+        config,
+        step_sm,
+        cycles,
+        [
+            (a, tile_m * tile_k * element_bytes, True, f"{name}.A"),
+            (b, tile_k * tile_n * element_bytes, True, f"{name}.B"),
+            (c, np.where(last_k, tile_m * tile_n * element_bytes, 0), False, f"{name}.C"),
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +295,7 @@ def matmul_streams(
     encrypted: bool = True,
     tile: int = DEFAULT_TILE,
     heap: SecureHeap | None = None,
-) -> list[list[TileStep]]:
+) -> LoweredStreams:
     """Per-SM streams for a tiled matrix multiplication."""
     return gemm_layer_streams(
         config,
@@ -337,7 +311,7 @@ def gemm_layer_streams(
     *,
     tile: int = DEFAULT_TILE,
     heap: SecureHeap | None = None,
-) -> list[list[TileStep]]:
+) -> LoweredStreams:
     """Per-SM streams for one CONV or FC layer (im2col GEMM lowering)."""
     if traffic.kind not in ("conv", "fc"):
         raise ValueError(f"gemm lowering needs a conv/fc layer, got {traffic.kind}")
@@ -347,19 +321,19 @@ def gemm_layer_streams(
         heap = SecureHeap()
     # The im2col operand is ~k² larger than the feature map; criticality
     # fractions carry over because im2col replicates channels uniformly.
-    a_regions = _OperandRegions.allocate(
+    a = _Operand.allocate(
         heap,
         f"{traffic.name}.in",
         traffic.input_bytes_encrypted,
         traffic.input_bytes_plain,
     )
-    b_regions = _OperandRegions.allocate(
+    b = _Operand.allocate(
         heap,
         f"{traffic.name}.w",
         traffic.weight_bytes_encrypted,
         traffic.weight_bytes_plain,
     )
-    c_regions = _OperandRegions.allocate(
+    c = _Operand.allocate(
         heap,
         f"{traffic.name}.out",
         traffic.output_bytes_encrypted,
@@ -371,9 +345,9 @@ def gemm_layer_streams(
         m=traffic.gemm_m,
         n=traffic.gemm_n,
         k=traffic.gemm_k,
-        a_regions=a_regions,
-        b_regions=b_regions,
-        c_regions=c_regions,
+        a=a,
+        b=b,
+        c=c,
         macs_total=traffic.macs,
         tile=tile,
         element_bytes=traffic.element_bytes,
@@ -388,7 +362,7 @@ def pool_layer_streams(
     ops_per_element: int = POOL_OPS_PER_ELEMENT,
     heap: SecureHeap | None = None,
     element_bytes: int | None = None,
-) -> list[list[TileStep]]:
+) -> LoweredStreams:
     """Per-SM streams for a POOL layer: streaming read/reduce/write."""
     if traffic.kind != "pool":
         raise ValueError(f"pool lowering needs a pool layer, got {traffic.kind}")
@@ -396,67 +370,41 @@ def pool_layer_streams(
         element_bytes = traffic.element_bytes
     if heap is None:  # empty heaps are falsy via __len__, so test identity
         heap = SecureHeap()
-    in_regions = _OperandRegions.allocate(
+    source = _Operand.allocate(
         heap,
         f"{traffic.name}.in",
         traffic.input_bytes_encrypted,
         traffic.input_bytes_plain,
     )
-    out_regions = _OperandRegions.allocate(
+    target = _Operand.allocate(
         heap,
         f"{traffic.name}.out",
         traffic.output_bytes_encrypted,
         traffic.output_bytes_plain,
     )
-    line = config.line_bytes
     in_bytes = traffic.input_bytes_encrypted + traffic.input_bytes_plain
     out_bytes = traffic.output_bytes_encrypted + traffic.output_bytes_plain
-    if in_bytes <= 0:
-        return [[] for _ in range(config.num_sms)]
-
-    step_in_bytes = lines_per_step * line
-    total_steps = max(1, -(-in_bytes // step_in_bytes))
+    step_in_bytes = lines_per_step * config.line_bytes
+    total_steps = max(1, -(-in_bytes // step_in_bytes)) if in_bytes > 0 else 0
     budget = MAX_STEPS_PER_SM * config.num_sms
     if total_steps > budget:
         step_in_bytes = -(-in_bytes // budget)
         total_steps = max(1, -(-in_bytes // step_in_bytes))
-    out_ratio = out_bytes / in_bytes
-    streams: list[list[TileStep]] = [[] for _ in range(config.num_sms)]
-    consumed = 0
-    for step in range(total_steps):
-        sm_id = step % config.num_sms
-        this_in = min(step_in_bytes, in_bytes - consumed)
-        consumed += this_in
-        reads = in_regions.requests(
-            this_in,
-            access=Access.READ,
-            sm_id=sm_id,
-            line_bytes=line,
-            parts=config.num_channels,
-            tag=f"{traffic.name}.in",
-        )
-        this_out = int(round(this_in * out_ratio))
-        writes = (
-            out_regions.requests(
-                this_out,
-                access=Access.WRITE,
-                sm_id=sm_id,
-                line_bytes=line,
-                parts=config.num_channels,
-                tag=f"{traffic.name}.out",
-            )
-            if this_out
-            else []
-        )
-        elements = this_in // element_bytes
-        ops = elements * ops_per_element
-        cycles = max(
-            1, -(-ops // (config.macs_per_sm_per_cycle))
-        )
-        streams[sm_id].append(
-            TileStep(compute_cycles=cycles, reads=tuple(reads), writes=tuple(writes))
-        )
-    return streams
+    step = np.arange(total_steps, dtype=np.int64)
+    this_in = np.minimum(step_in_bytes, in_bytes - step * step_in_bytes)
+    out_ratio = out_bytes / in_bytes if in_bytes > 0 else 0.0
+    this_out = np.rint(this_in * out_ratio).astype(np.int64)
+    ops = this_in // element_bytes * ops_per_element
+    cycles = np.maximum(1, -(-ops // config.macs_per_sm_per_cycle))
+    return _lower(
+        config,
+        step % config.num_sms,
+        cycles,
+        [
+            (source, this_in, True, f"{traffic.name}.in"),
+            (target, this_out, False, f"{traffic.name}.out"),
+        ],
+    )
 
 
 def layer_streams(
@@ -465,7 +413,7 @@ def layer_streams(
     *,
     tile: int = DEFAULT_TILE,
     heap: SecureHeap | None = None,
-) -> list[list[TileStep]]:
+) -> LoweredStreams:
     """Lower any layer-traffic record into per-SM streams."""
     if traffic.kind == "pool":
         return pool_layer_streams(config, traffic, heap=heap)

@@ -144,4 +144,6 @@ class TestRenderReport:
         kernel_runs = registry.counter("sim.kernel_runs")
         assert kernel_runs > 0
         assert f"sim.kernel spans {kernel_runs} vs sim.kernel_runs {kernel_runs}: ok" in text
+        for stage in ("sim.lower", "sim.compile", "sim.kernel"):
+            assert f"{stage} {kernel_runs}x " in text
         assert "run report" in text

@@ -188,3 +188,29 @@ class TestCompareSchemesSharedLowering:
         # the *same* underlying record the single lowering produced.
         for seal_d, seal_c in zip(by_scheme["SEAL-D"], by_scheme["SEAL-C"]):
             assert seal_d.traffic is seal_c.traffic
+
+
+class TestStageTimers:
+    """Each simulated unit records one ``sim.lower``, ``sim.compile`` and
+    ``sim.kernel`` timing; deduplicated units record none."""
+
+    def test_one_timing_per_simulated_unit(self):
+        from repro.obs.metrics import MetricsRegistry, set_metrics
+        from repro.sim.parallel import run_units
+        from repro.sim.runner import layer_unit
+
+        units = [
+            layer_unit(matmul_traffic(64, 64, 64), scheme)
+            for scheme in ("Baseline", "SEAL-C", "Baseline", "Counter", "SEAL-C")
+        ]
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            run_units(units, cache=False)
+        finally:
+            set_metrics(previous)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["sim.cache.misses"] == 3
+        assert snapshot["counters"]["sim.kernel_runs"] == 3
+        for stage in ("sim.lower", "sim.compile", "sim.kernel"):
+            assert snapshot["timers"][stage]["count"] == 3, stage
