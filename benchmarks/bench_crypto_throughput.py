@@ -3,9 +3,10 @@
 Batched CTR encryption and GMAC tagging of memory lines through both
 backends of :mod:`repro.crypto.fastpath`, instrumented by the ``crypto.*``
 timers/counters of :mod:`repro.obs.metrics`.  The recorded artefact pins
-the tentpole claim: the NumPy T-table/Shoup-table datapath sustains at
-least **10× the CTR blocks/sec** of the pure-Python oracle already at
-quick scale (the gap widens with batch size).
+the claim: the NumPy T-table/Shoup-table datapath sustains at least
+**60× the CTR blocks/sec** and **25× the GMAC tags/sec** of the
+pure-Python oracle already at quick scale (the gap widens with batch
+size).
 
 Both backends run the *identical* workload — same key, addresses,
 counters, and plaintext lines — so the blocks/sec ratio is a pure
@@ -93,7 +94,7 @@ def test_crypto_throughput(benchmark, record_report, record_metrics, bench_scale
             rows,
         )
         + f"\nvector/scalar speedup: CTR {ctr_speedup:.1f}x, "
-        f"GMAC {gmac_speedup:.1f}x (tentpole floor: 10x CTR)"
+        f"GMAC {gmac_speedup:.1f}x (floors: 60x CTR, 25x GMAC)"
     )
     record_report("crypto_throughput", report)
     record_metrics(
@@ -111,6 +112,7 @@ def test_crypto_throughput(benchmark, record_report, record_metrics, bench_scale
     # Identical workloads: the block/tag counts must match exactly.
     assert results["scalar"]["ctr_blocks"] == results["vector"]["ctr_blocks"]
     assert results["scalar"]["gmac_tags"] == results["vector"]["gmac_tags"]
-    # The tentpole claim, with headroom left for slow CI machines.
-    assert ctr_speedup >= 10.0, f"vector CTR only {ctr_speedup:.1f}x scalar"
-    assert gmac_speedup >= 5.0, f"vector GMAC only {gmac_speedup:.1f}x scalar"
+    # About half the measured ratios (medians ~118x CTR, ~47x GMAC), leaving
+    # headroom for slow or noisy machines.
+    assert ctr_speedup >= 60.0, f"vector CTR only {ctr_speedup:.1f}x scalar"
+    assert gmac_speedup >= 25.0, f"vector GMAC only {gmac_speedup:.1f}x scalar"

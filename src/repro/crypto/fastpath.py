@@ -11,10 +11,12 @@ implementation of the same primitives:
 * :class:`VectorAES` — T-table AES (fused SubBytes/ShiftRows/MixColumns per
   round, tables derived from the computed S-box, round keys from the scalar
   key schedule) encrypting/decrypting **batches of 16-byte blocks across
-  array lanes**;
+  array lanes**.  Each round is one gather from a flat 1024-entry table for
+  all 16 bytes of every block plus one XOR-reduce — no per-column loop;
 * :class:`GF128Table` — Shoup-style byte tables for multiplication by a
   fixed GHASH key ``H`` in GF(2^128), with a lane-parallel GHASH for
-  equal-length lines (the GMAC shape used by per-line authentication);
+  equal-length lines (the GMAC shape used by per-line authentication) that
+  costs one gather and one XOR-reduce per block position;
 * :func:`block_backend` — the backend selector the modes
   (:mod:`repro.crypto.modes`) and the authenticator
   (:mod:`repro.crypto.mac`) are parameterised over.
@@ -39,7 +41,6 @@ True
 from __future__ import annotations
 
 import os
-import struct
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +57,8 @@ __all__ = [
     "VectorBlockBackend",
     "block_backend",
     "GF128Table",
+    "ctr_seeds",
+    "u64_array",
 ]
 
 #: Environment variable overriding the default backend for consumers that
@@ -87,47 +90,59 @@ def resolve_backend(backend: str | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# T-tables (derived from the computed S-box, not pasted)
+# Flat round tables (derived from the computed S-box, not pasted)
 # ----------------------------------------------------------------------
-def _rotr32(table: np.ndarray, bytes_: int) -> np.ndarray:
-    shift = np.uint32(8 * bytes_)
-    inv = np.uint32(32 - 8 * bytes_)
-    return ((table >> shift) | (table << inv)).astype(np.uint32)
+def _flat_table(columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """``(4·256,)`` uint32 round table from one ``(4, 256)`` byte column.
 
-
-def _build_enc_tables() -> np.ndarray:
-    """TE[i][x]: MixColumns ∘ SubBytes contribution of input row ``i``.
-
-    ``TE0[x]`` packs the column ``(2·S[x], S[x], S[x], 3·S[x])`` rows 0..3
-    into one big-endian uint32; ``TE1..TE3`` are its byte rotations, matching
-    the row offsets ShiftRows feeds into each output column.
+    ``columns[r][x]`` is the byte that input value ``x`` contributes to
+    output row ``r`` when it sits in row 0; entry ``256·i + x`` holds that
+    column rotated down by ``i`` rows (the input's own row), packed so the
+    uint32's *memory* bytes are output rows 0..3.  A round's output words
+    therefore view straight back as state bytes on any host byte order.
     """
-    te0 = np.zeros(256, dtype=np.uint32)
-    for x in range(256):
-        s = SBOX[x]
-        te0[x] = (gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | gf_mul(s, 3)
-    return np.stack([_rotr32(te0, i) for i in range(4)])
+    column = np.array(columns, dtype=np.uint8).T
+    rows = [np.roll(column, i, axis=1) for i in range(4)]
+    return np.ascontiguousarray(np.concatenate(rows)).view(np.uint32).ravel()
 
 
-def _build_dec_tables() -> np.ndarray:
-    """TD[i][x]: InvMixColumns ∘ InvSubBytes contribution of input row ``i``
-    (the equivalent-inverse-cipher tables)."""
-    td0 = np.zeros(256, dtype=np.uint32)
-    for x in range(256):
-        v = INV_SBOX[x]
-        td0[x] = (
-            (gf_mul(v, 14) << 24)
-            | (gf_mul(v, 9) << 16)
-            | (gf_mul(v, 13) << 8)
-            | gf_mul(v, 11)
-        )
-    return np.stack([_rotr32(td0, i) for i in range(4)])
+_SBOX = list(SBOX)
+_INV_SBOX = list(INV_SBOX)
+_ZERO = [0] * 256
+#: MixColumns ∘ SubBytes: column ``(2·S[x], S[x], S[x], 3·S[x])``.
+_TE = _flat_table(
+    [[gf_mul(s, 2) for s in _SBOX], _SBOX, _SBOX, [gf_mul(s, 3) for s in _SBOX]]
+)
+#: InvMixColumns ∘ InvSubBytes (equivalent inverse cipher):
+#: column ``(14·v, 9·v, 13·v, 11·v)`` with ``v = S⁻¹[x]``.
+_TD = _flat_table([[gf_mul(v, m) for v in _INV_SBOX] for m in (14, 9, 13, 11)])
+#: Final rounds (no MixColumns): the S-box byte alone, in the input's row.
+_TE_FINAL = _flat_table([_SBOX, _ZERO, _ZERO, _ZERO])
+_TD_FINAL = _flat_table([_INV_SBOX, _ZERO, _ZERO, _ZERO])
+
+#: Slot ``4·j + i`` of a round feeds output column ``j`` from input row
+#: ``i``, which ShiftRows reads from column ``j + i`` (InvShiftRows
+#: ``j - i``); the row offset ``256·i`` selects that row's quarter of a
+#: flat table.
+_ROWS = np.arange(4)
+_SLOT_ROW = np.tile(_ROWS, 4)
+_ENC_COLUMN = ((_ROWS[:, None] + _ROWS) % 4).ravel()
+_DEC_COLUMN = ((_ROWS[:, None] - _ROWS) % 4).ravel()
+_ROW_OFFSETS = (256 * _SLOT_ROW)[:, None]
 
 
-_TE = _build_enc_tables()
-_TD = _build_dec_tables()
-_SBOX_U32 = np.frombuffer(SBOX, dtype=np.uint8).astype(np.uint32)
-_INV_SBOX_U32 = np.frombuffer(INV_SBOX, dtype=np.uint8).astype(np.uint32)
+def _round(
+    words: np.ndarray, columns: np.ndarray, table: np.ndarray, key: np.ndarray
+) -> np.ndarray:
+    """One whole-batch AES round over ``(4, n)`` column words.
+
+    One gather of all 16 byte indices of every block, one flat-table
+    lookup, one XOR-reduce over the four rows feeding each column.
+    """
+    n = words.shape[1]
+    state = words.view(np.uint8).reshape(4, n, 4)  # [column, block, row]
+    looked_up = table[state[columns, :, _SLOT_ROW] + _ROW_OFFSETS]
+    return np.bitwise_xor.reduce(looked_up.reshape(4, 4, n), axis=1) ^ key[:, None]
 
 
 class VectorAES:
@@ -135,136 +150,54 @@ class VectorAES:
 
     The key schedule is *reused* from the scalar implementation (one source
     of truth for FIPS-197 key expansion); only the round function is
-    re-expressed as table lookups over ``(n, 4)`` uint32 column arrays so a
-    whole batch of blocks moves through each round together.
+    re-expressed.  The batch is held as ``(4, n)`` uint32 column words and
+    each round is one flat-table gather over every byte of every block
+    plus one XOR-reduce.  Encryption and decryption share :func:`_round`
+    and differ only in column map, tables and key schedule; there is no
+    per-column loop, so a pass costs a fixed number of NumPy calls per
+    round whatever the batch size.
     """
 
     def __init__(self, key: bytes) -> None:
         scalar = AES(key)
         self.key = scalar.key
         self.rounds = scalar.rounds
-        flat = np.array(scalar._round_keys, dtype=np.uint8)
-        self._enc_keys = np.ascontiguousarray(flat).view(">u4").astype(np.uint32)
+        # Round keys as native uint32 views of their bytes, like the state.
+        self._enc_keys = np.array(scalar._round_keys, dtype=np.uint8).view(np.uint32)
         # Equivalent inverse cipher: middle-round keys pass through
-        # InvMixColumns once, so decryption can use the TD tables directly.
-        inv_flat = [list(rk) for rk in scalar._round_keys]
+        # InvMixColumns once, so decryption can use the TD table directly;
+        # stored in the order decryption applies them.
+        inv_keys = [list(rk) for rk in scalar._round_keys]
         for round_index in range(1, self.rounds):
-            AES._inv_mix_columns(inv_flat[round_index])
-        self._dec_keys = (
-            np.ascontiguousarray(np.array(inv_flat, dtype=np.uint8))
-            .view(">u4")
-            .astype(np.uint32)
-        )
+            AES._inv_mix_columns(inv_keys[round_index])
+        self._dec_keys = np.array(inv_keys[::-1], dtype=np.uint8).view(np.uint32)
 
-    # ------------------------------------------------------------------
     @staticmethod
-    def _pack(blocks: np.ndarray) -> np.ndarray:
-        """(n, 16) uint8 block bytes -> (n, 4) uint32 big-endian columns."""
+    def _cipher(
+        blocks: np.ndarray,
+        keys: np.ndarray,
+        columns: np.ndarray,
+        table: np.ndarray,
+        final: np.ndarray,
+    ) -> np.ndarray:
         blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
         if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
             raise ValueError(
                 f"expected an (n, {BLOCK_SIZE}) byte array, got {blocks.shape}"
             )
-        return blocks.view(">u4").astype(np.uint32)
+        words = np.ascontiguousarray(blocks.view(np.uint32).T) ^ keys[0][:, None]
+        for key in keys[1:-1]:
+            words = _round(words, columns, table, key)
+        words = _round(words, columns, final, keys[-1])
+        return np.ascontiguousarray(words.T).view(np.uint8)
 
-    @staticmethod
-    def _unpack(cols: np.ndarray) -> np.ndarray:
-        return (
-            np.ascontiguousarray(cols.astype(">u4"))
-            .view(np.uint8)
-            .reshape(-1, BLOCK_SIZE)
-        )
-
-    # ------------------------------------------------------------------
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt an ``(n, 16)`` uint8 batch; returns the same shape."""
-        cols = self._pack(blocks)
-        cols ^= self._enc_keys[0]
-        for round_index in range(1, self.rounds):
-            cols = self._enc_round(cols, self._enc_keys[round_index])
-        cols = self._enc_final(cols, self._enc_keys[self.rounds])
-        return self._unpack(cols)
+        return self._cipher(blocks, self._enc_keys, _ENC_COLUMN, _TE, _TE_FINAL)
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Decrypt an ``(n, 16)`` uint8 batch; returns the same shape."""
-        cols = self._pack(blocks)
-        cols ^= self._enc_keys[self.rounds]
-        for round_index in range(self.rounds - 1, 0, -1):
-            cols = self._dec_round(cols, self._dec_keys[round_index])
-        cols = self._dec_final(cols, self._enc_keys[0])
-        return self._unpack(cols)
-
-    @staticmethod
-    def _enc_round(cols: np.ndarray, round_key: np.ndarray) -> np.ndarray:
-        out = np.empty_like(cols)
-        for j in range(4):
-            out[:, j] = (
-                _TE[0][(cols[:, j] >> np.uint32(24))]
-                ^ _TE[1][(cols[:, (j + 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)]
-                ^ _TE[2][(cols[:, (j + 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)]
-                ^ _TE[3][cols[:, (j + 3) % 4] & np.uint32(0xFF)]
-                ^ round_key[j]
-            )
-        return out
-
-    @staticmethod
-    def _enc_final(cols: np.ndarray, round_key: np.ndarray) -> np.ndarray:
-        out = np.empty_like(cols)
-        for j in range(4):
-            out[:, j] = (
-                (_SBOX_U32[cols[:, j] >> np.uint32(24)] << np.uint32(24))
-                ^ (
-                    _SBOX_U32[
-                        (cols[:, (j + 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)
-                    ]
-                    << np.uint32(16)
-                )
-                ^ (
-                    _SBOX_U32[
-                        (cols[:, (j + 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)
-                    ]
-                    << np.uint32(8)
-                )
-                ^ _SBOX_U32[cols[:, (j + 3) % 4] & np.uint32(0xFF)]
-                ^ round_key[j]
-            )
-        return out
-
-    @staticmethod
-    def _dec_round(cols: np.ndarray, round_key: np.ndarray) -> np.ndarray:
-        out = np.empty_like(cols)
-        for j in range(4):
-            out[:, j] = (
-                _TD[0][(cols[:, j] >> np.uint32(24))]
-                ^ _TD[1][(cols[:, (j - 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)]
-                ^ _TD[2][(cols[:, (j - 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)]
-                ^ _TD[3][cols[:, (j - 3) % 4] & np.uint32(0xFF)]
-                ^ round_key[j]
-            )
-        return out
-
-    @staticmethod
-    def _dec_final(cols: np.ndarray, round_key: np.ndarray) -> np.ndarray:
-        out = np.empty_like(cols)
-        for j in range(4):
-            out[:, j] = (
-                (_INV_SBOX_U32[cols[:, j] >> np.uint32(24)] << np.uint32(24))
-                ^ (
-                    _INV_SBOX_U32[
-                        (cols[:, (j - 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)
-                    ]
-                    << np.uint32(16)
-                )
-                ^ (
-                    _INV_SBOX_U32[
-                        (cols[:, (j - 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)
-                    ]
-                    << np.uint32(8)
-                )
-                ^ _INV_SBOX_U32[cols[:, (j - 3) % 4] & np.uint32(0xFF)]
-                ^ round_key[j]
-            )
-        return out
+        return self._cipher(blocks, self._dec_keys, _DEC_COLUMN, _TD, _TD_FINAL)
 
     # ------------------------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:
@@ -370,16 +303,19 @@ def block_backend(
 #: GHASH reduction constant of SP 800-38D (x^128 + x^7 + x^2 + x + 1 in the
 #: bit-reflected convention) — mirrors ``repro.crypto.mac._R``.
 _R_INT = 0xE1000000000000000000000000000000
+#: Row offset of byte ``j`` in the flat ``(16·256, 2)`` table view.
+_GF_OFFSETS = (256 * np.arange(BLOCK_SIZE))[:, None]
 
 
 class GF128Table:
     """Byte-sliced multiplication tables for a fixed GHASH key ``H``.
 
-    ``table[j][v]`` holds ``(v · x^(8j)) • H`` so a full 128×128-bit product
-    collapses to 16 table gathers and XORs — and, crucially, the gathers
-    vectorize across *lanes*: :meth:`ghash_many` runs the sequential GHASH
-    recurrence once per block position while every line in the batch moves
-    in parallel.
+    ``table[j][v]`` holds ``(v · x^(8j)) • H``, so a full 128×128-bit
+    product is the XOR of 16 table rows.  Viewed flat as ``(16·256, 2)``
+    uint64, those 16 rows come out of **one gather** and fold with one
+    XOR-reduce — and the gather vectorizes across *lanes*:
+    :meth:`ghash_many` runs the sequential GHASH recurrence once per block
+    position while every line in the batch moves in parallel.
     """
 
     def __init__(self, key_h: bytes) -> None:
@@ -400,20 +336,23 @@ class GF128Table:
                 selected = ((values >> bit) & 1).astype(bool)
                 table[j, selected] ^= powers[8 * j + 7 - bit]
         self._table = table
+        self._flat = table.reshape(BLOCK_SIZE * 256, BLOCK_SIZE).view(np.uint64)
+
+    def _mul(self, x: np.ndarray) -> np.ndarray:
+        # Index byte-major so the reduce folds 16 contiguous (n, 2) slabs.
+        looked_up = self._flat[x.T + _GF_OFFSETS]
+        return np.bitwise_xor.reduce(looked_up, axis=0).view(np.uint8)
 
     def mul_many(self, x: np.ndarray) -> np.ndarray:
         """Multiply each ``(n, 16)`` lane by ``H`` in GF(2^128)."""
-        x = np.ascontiguousarray(x, dtype=np.uint8)
-        out = np.zeros_like(x)
-        for j in range(BLOCK_SIZE):
-            out ^= self._table[j][x[:, j]]
-        return out
+        return self._mul(np.ascontiguousarray(x, dtype=np.uint8))
 
     def ghash_many(self, blocks: np.ndarray) -> np.ndarray:
         """GHASH over ``(n, m, 16)`` pre-padded blocks, lane-parallel.
 
         Every lane runs the same-length recurrence
-        ``y = (y ^ block) • H`` over its ``m`` blocks.
+        ``y = (y ^ block) • H`` over its ``m`` blocks: one gather and one
+        XOR-reduce per block position.
         """
         blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
         if blocks.ndim != 3 or blocks.shape[2] != BLOCK_SIZE:
@@ -422,7 +361,7 @@ class GF128Table:
             )
         y = np.zeros((blocks.shape[0], BLOCK_SIZE), dtype=np.uint8)
         for position in range(blocks.shape[1]):
-            y = self.mul_many(y ^ blocks[:, position, :])
+            y = self._mul(y ^ blocks[:, position])
         return y
 
     def ghash(self, data: bytes) -> bytes:
@@ -439,23 +378,28 @@ class GF128Table:
 # ----------------------------------------------------------------------
 # Batched CTR seed construction (shared by modes.py and the benches)
 # ----------------------------------------------------------------------
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def u64_array(values: Sequence[int]) -> np.ndarray:
+    """Python ints reduced mod 2^64 (``& 0xFFFF…``) into a uint64 array."""
+    return np.fromiter((value & _U64 for value in values), np.uint64, len(values))
+
+
 def ctr_seeds(
     addresses: Sequence[int], counters: Sequence[int], blocks_per_line: int
 ) -> bytes:
     """Concatenated per-block CTR seeds for a batch of lines.
 
     Layout per block matches ``CounterModeEncryptor._pad``:
-    ``<QII`` = (address, counter, block_index), exactly 16 bytes.
+    ``<QII`` = (address mod 2^64, counter mod 2^32, block_index), exactly
+    16 bytes, built as two little-endian uint64 words per block.
     """
     if len(addresses) != len(counters):
         raise ValueError("addresses and counters must have equal length")
-    out = bytearray()
-    for address, counter in zip(addresses, counters):
-        for block_index in range(blocks_per_line):
-            out += struct.pack(
-                "<QII",
-                address & 0xFFFFFFFFFFFFFFFF,
-                counter & 0xFFFFFFFF,
-                block_index,
-            )
-    return bytes(out)
+    seeds = np.empty((len(addresses), blocks_per_line, 2), dtype="<u8")
+    seeds[..., 0] = u64_array(addresses)[:, None]
+    seeds[..., 1] = (u64_array(counters) & np.uint64(0xFFFFFFFF))[:, None] | (
+        np.arange(blocks_per_line, dtype=np.uint64) << np.uint64(32)
+    )
+    return seeds.tobytes()

@@ -26,6 +26,7 @@ enabled.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from typing import Sequence
 
@@ -34,7 +35,7 @@ import numpy as np
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from .aes import BLOCK_SIZE
-from .fastpath import GF128Table, block_backend
+from .fastpath import GF128Table, block_backend, u64_array
 
 __all__ = ["gf128_mul", "ghash", "LineAuthenticator", "MAC_BYTES"]
 
@@ -165,29 +166,28 @@ class LineAuthenticator:
                 span.set_attr("op", "tag_lines")
                 span.set_attr("lines", len(ciphertexts))
                 span.set_attr("backend", self.backend)
-            length_block = struct.pack(">QQ", 0, length * 8)
-            padding = bytes(-(length + len(length_block)) % BLOCK_SIZE)
-            stream = b"".join(
-                ciphertext + length_block + padding for ciphertext in ciphertexts
+            # Each lane is ciphertext ‖ length block, zero-padded to blocks.
+            n = len(ciphertexts)
+            width = length + BLOCK_SIZE + (-length % BLOCK_SIZE)
+            stream = np.zeros((n, width), dtype=np.uint8)
+            stream[:, :length] = np.frombuffer(
+                b"".join(ciphertexts), dtype=np.uint8
+            ).reshape(n, length)
+            stream[:, length : length + BLOCK_SIZE] = np.frombuffer(
+                struct.pack(">QQ", 0, length * 8), dtype=np.uint8
             )
-            blocks = np.frombuffer(stream, dtype=np.uint8).reshape(
-                len(ciphertexts), -1, BLOCK_SIZE
-            )
-            digests = self._gf.ghash_many(blocks)
-            seeds = b"".join(
-                struct.pack(
-                    "<QQ",
-                    address & 0xFFFFFFFFFFFFFFFF,
-                    counter & 0xFFFFFFFFFFFFFFFF,
-                )
-                for address, counter in zip(addresses, counters)
-            )
+            digests = self._gf.ghash_many(stream.reshape(n, -1, BLOCK_SIZE))
+            seeds = np.stack([u64_array(addresses), u64_array(counters)], axis=1)
             masks = np.frombuffer(
-                self._cipher.encrypt_many(seeds), dtype=np.uint8
-            ).reshape(len(ciphertexts), BLOCK_SIZE)
-            metrics.count("crypto.gmac.tags", len(ciphertexts))
-            tags = digests ^ masks
-            return [row.tobytes()[: self.tag_bytes] for row in tags]
+                self._cipher.encrypt_many(seeds.astype("<u8").tobytes()),
+                dtype=np.uint8,
+            ).reshape(n, BLOCK_SIZE)
+            metrics.count("crypto.gmac.tags", n)
+            tags = (digests ^ masks)[:, : self.tag_bytes].tobytes()
+            return [
+                tags[offset : offset + self.tag_bytes]
+                for offset in range(0, len(tags), self.tag_bytes)
+            ]
 
     def verify(self, address: int, counter: int, ciphertext: bytes, tag: bytes) -> bool:
         """Constant-shape verification (returns False on any mismatch)."""
@@ -218,9 +218,4 @@ class LineAuthenticator:
 
     @staticmethod
     def _compare(expected: bytes, tag: bytes) -> bool:
-        if len(tag) != len(expected):
-            return False
-        result = 0
-        for a, b in zip(expected, tag):
-            result |= a ^ b
-        return result == 0
+        return hmac.compare_digest(expected, tag)

@@ -26,26 +26,43 @@ oracle, ``vector`` the NumPy batch implementation; ``None`` defers to the
 default.  Output is byte-identical across backends — the differential
 conformance suite pins it.  The batched line APIs
 (:meth:`CounterModeEncryptor.encrypt_lines` /
-:meth:`~CounterModeEncryptor.decrypt_lines`) push whole batches of lines
-through one cipher call, which is where the vector backend earns its keep
-(``benchmarks/bench_crypto_throughput.py``).
+:meth:`~CounterModeEncryptor.decrypt_lines` and the
+:class:`DirectEncryptor` pair of the same names) push whole batches of
+lines through one cipher call, which is where the vector backend earns its
+keep (``benchmarks/bench_crypto_throughput.py``).
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
+
+import numpy as np
 
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from .aes import BLOCK_SIZE
-from .fastpath import block_backend, ctr_seeds
+from .fastpath import block_backend, ctr_seeds, u64_array
 
 __all__ = ["DirectEncryptor", "CounterModeEncryptor"]
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR of two byte strings, truncated to the shorter one (as ``zip``)."""
+    n = min(len(a), len(b))
+    return (
+        int.from_bytes(a[:n], "little") ^ int.from_bytes(b[:n], "little")
+    ).to_bytes(n, "little")
+
+
+def _split(data: bytes, length: int) -> list[bytes]:
+    return [data[offset : offset + length] for offset in range(0, len(data), length)]
+
+
+def _batch_length(lines: Sequence[bytes]) -> int:
+    length = len(lines[0])
+    if any(len(line) != length for line in lines):
+        raise ValueError("batched lines must share one length")
+    return length
 
 
 class DirectEncryptor:
@@ -81,42 +98,75 @@ class DirectEncryptor:
         """Resolved backend name (``scalar`` or ``vector``)."""
         return self._cipher.name
 
-    def _tweaks(self, address: int, n_blocks: int) -> bytes:
-        material = b"".join(
-            struct.pack("<QQ", address & 0xFFFFFFFFFFFFFFFF, block_index)
-            for block_index in range(n_blocks)
-        )
-        return self._tweak_cipher.encrypt_many(material)
+    def _xex(
+        self,
+        op: str,
+        addresses: Sequence[int],
+        data: bytes,
+        n_blocks: int,
+        *,
+        decrypt: bool,
+    ) -> bytes:
+        """Tweak → cipher → tweak over ``n_blocks`` blocks per address.
+
+        One tweak-cipher call and one block-cipher call, however many
+        lines ``addresses`` names.
+        """
+        metrics = get_metrics()
+        blocks = len(addresses) * n_blocks
+        with metrics.timer("crypto.direct"), get_tracer().span("crypto.direct") as span:
+            if span:
+                span.set_attr("op", op)
+                if op == "batch":
+                    span.set_attr("lines", len(addresses))
+                span.set_attr("blocks", blocks)
+                span.set_attr("backend", self.backend)
+            material = np.zeros((len(addresses), n_blocks, 2), dtype="<u8")
+            material[..., 0] = u64_array(addresses)[:, None]
+            material[..., 1] = np.arange(n_blocks, dtype=np.uint64)
+            tweaks = self._tweak_cipher.encrypt_many(material.tobytes())
+            cipher = self._cipher.decrypt_many if decrypt else self._cipher.encrypt_many
+            out = cipher(_xor_bytes(data, tweaks))
+            metrics.count("crypto.direct.blocks", blocks)
+            return _xor_bytes(out, tweaks)
 
     def encrypt_line(self, address: int, plaintext: bytes) -> bytes:
         """Encrypt a cache line stored at ``address``."""
         self._check_length(plaintext)
-        metrics = get_metrics()
         n_blocks = len(plaintext) // BLOCK_SIZE
-        with metrics.timer("crypto.direct"), get_tracer().span("crypto.direct") as span:
-            if span:
-                span.set_attr("op", "encrypt")
-                span.set_attr("blocks", n_blocks)
-                span.set_attr("backend", self.backend)
-            tweaks = self._tweaks(address, n_blocks)
-            out = self._cipher.encrypt_many(_xor_bytes(plaintext, tweaks))
-            metrics.count("crypto.direct.blocks", n_blocks)
-            return _xor_bytes(out, tweaks)
+        return self._xex("encrypt", [address], plaintext, n_blocks, decrypt=False)
 
     def decrypt_line(self, address: int, ciphertext: bytes) -> bytes:
         """Decrypt a cache line stored at ``address``."""
         self._check_length(ciphertext)
-        metrics = get_metrics()
         n_blocks = len(ciphertext) // BLOCK_SIZE
-        with metrics.timer("crypto.direct"), get_tracer().span("crypto.direct") as span:
-            if span:
-                span.set_attr("op", "decrypt")
-                span.set_attr("blocks", n_blocks)
-                span.set_attr("backend", self.backend)
-            tweaks = self._tweaks(address, n_blocks)
-            out = self._cipher.decrypt_many(_xor_bytes(ciphertext, tweaks))
-            metrics.count("crypto.direct.blocks", n_blocks)
-            return _xor_bytes(out, tweaks)
+        return self._xex("decrypt", [address], ciphertext, n_blocks, decrypt=True)
+
+    def encrypt_lines(
+        self, addresses: Sequence[int], lines: Sequence[bytes]
+    ) -> list[bytes]:
+        """Encrypt a batch of equal-length lines in one pass."""
+        return self._process_lines(addresses, lines, decrypt=False)
+
+    def decrypt_lines(
+        self, addresses: Sequence[int], lines: Sequence[bytes]
+    ) -> list[bytes]:
+        """Decrypt a batch of equal-length lines in one pass."""
+        return self._process_lines(addresses, lines, decrypt=True)
+
+    def _process_lines(
+        self, addresses: Sequence[int], lines: Sequence[bytes], *, decrypt: bool
+    ) -> list[bytes]:
+        if len(addresses) != len(lines):
+            raise ValueError("addresses and lines must align")
+        if not lines:
+            return []
+        length = _batch_length(lines)
+        self._check_length(lines[0])
+        out = self._xex(
+            "batch", addresses, b"".join(lines), length // BLOCK_SIZE, decrypt=decrypt
+        )
+        return _split(out, length)
 
     @staticmethod
     def _check_length(data: bytes) -> None:
@@ -232,9 +282,7 @@ class CounterModeEncryptor:
             raise ValueError("addresses, counters and lines must align")
         if not lines:
             return []
-        length = len(lines[0])
-        if any(len(line) != length for line in lines):
-            raise ValueError("batched lines must share one length")
+        length = _batch_length(lines)
         if track and self._track_pad_reuse:
             for address, counter in zip(addresses, counters):
                 self._note_pad(address, counter)
@@ -250,8 +298,11 @@ class CounterModeEncryptor:
             pad = self._cipher.encrypt_many(
                 ctr_seeds(addresses, counters, n_blocks)
             )
+            if padded != length:
+                pad = (
+                    np.frombuffer(pad, dtype=np.uint8)
+                    .reshape(len(lines), padded)[:, :length]
+                    .tobytes()
+                )
             metrics.count("crypto.ctr.blocks", n_blocks * len(lines))
-            return [
-                _xor_bytes(line, pad[index * padded : index * padded + length])
-                for index, line in enumerate(lines)
-            ]
+            return _split(_xor_bytes(b"".join(lines), pad), length)

@@ -309,8 +309,9 @@ class DirectScheme(ProtectionScheme):
 class DirectSealer:
     """Batched direct-encryption sealer (LineSealer-compatible API).
 
-    Encrypts each line in place with the XEX-tweaked
-    :class:`~repro.crypto.modes.DirectEncryptor`; counters are accepted
+    Encrypts each batch in place with the XEX-tweaked
+    :class:`~repro.crypto.modes.DirectEncryptor` (one tweak-cipher and one
+    block-cipher call per batch); counters are accepted
     for API compatibility and ignored (direct encryption is
     deterministic per address).  There are no tags: ``tag_bytes`` is 0,
     every returned tag is empty, and every verification verdict is
@@ -340,20 +341,14 @@ class DirectSealer:
 
     # -- line-level batch entry points ----------------------------------
     def seal_lines(self, addresses, counters, lines):
-        ciphertexts = [
-            self._encryptor.encrypt_line(address, line)
-            for address, line in zip(addresses, lines)
-        ]
+        ciphertexts = self._encryptor.encrypt_lines(addresses, lines)
         return ciphertexts, [b""] * len(ciphertexts)
 
     def verify_lines(self, addresses, counters, ciphertexts, tags):
         return [True] * len(ciphertexts)
 
     def open_lines(self, addresses, counters, ciphertexts, tags):
-        plaintexts = [
-            self._encryptor.decrypt_line(address, ciphertext)
-            for address, ciphertext in zip(addresses, ciphertexts)
-        ]
+        plaintexts = self._encryptor.decrypt_lines(addresses, ciphertexts)
         return plaintexts, [True] * len(plaintexts)
 
     # -- payload-level convenience --------------------------------------

@@ -13,8 +13,8 @@ three ways:
    encrypt, decrypt, keystream and GMAC tag between the backends, with the
    failing case's seed named in the assertion message;
 3. **Batched-API equivalence** — the lane-parallel ``encrypt_lines`` /
-   ``decrypt_lines`` / ``tag_lines`` paths must equal their one-line
-   counterparts on both backends.
+   ``decrypt_lines`` (counter and direct mode) / ``tag_lines`` paths must
+   equal their one-line counterparts on both backends.
 """
 
 import random
@@ -23,7 +23,7 @@ import pytest
 
 from repro.crypto.fastpath import BACKENDS, block_backend
 from repro.crypto.mac import LineAuthenticator
-from repro.crypto.modes import CounterModeEncryptor, DirectEncryptor
+from repro.crypto.modes import CounterModeEncryptor, DirectEncryptor, _xor_bytes
 
 pytestmark = pytest.mark.parametrize("backend", BACKENDS)
 
@@ -136,15 +136,21 @@ class TestKnownAnswerVectors:
         assert cipher.encrypt_many(SP800_38A_PLAINTEXT) == expected
         assert cipher.decrypt_many(expected) == SP800_38A_PLAINTEXT
 
+    @pytest.mark.parametrize("length", [64, 40, 1])
     @pytest.mark.parametrize("key_hex,expected_hex", SP800_38A_CTR)
-    def test_sp800_38a_ctr(self, backend, key_hex, expected_hex):
+    def test_sp800_38a_ctr(self, backend, key_hex, expected_hex, length):
         cipher = block_backend(bytes.fromhex(key_hex), backend)
-        expected = bytes.fromhex(expected_hex)
+        plaintext = SP800_38A_PLAINTEXT[:length]
+        expected = bytes.fromhex(expected_hex)[:length]
         counters = _standard_ctr_blocks(SP800_38A_CTR_COUNTER0, 4)
         keystream = cipher.encrypt_many(counters)
-        assert _xor(SP800_38A_PLAINTEXT, keystream) == expected
+        assert _xor(plaintext, keystream) == expected
         # CTR decryption is the same keystream XORed the other way.
-        assert _xor(expected, keystream) == SP800_38A_PLAINTEXT
+        assert _xor(expected, keystream) == plaintext
+        # The modes' XOR keeps zip's shorter-length semantics either way
+        # round, so a keystream longer than the line is truncated.
+        assert _xor_bytes(plaintext, keystream) == expected
+        assert _xor_bytes(keystream, expected) == plaintext
 
     def test_batched_known_answer(self, backend):
         # The batch API must agree with block-at-a-time on a mixed batch.
@@ -237,6 +243,12 @@ class TestDifferentialEquality:
         assert auth.tag_lines(addresses, counters, batched) == [
             auth.tag(a, c, ct) for a, c, ct in zip(addresses, counters, batched)
         ]
+        direct = DirectEncryptor(key, backend=backend)
+        sealed = direct.encrypt_lines(addresses, lines)
+        assert sealed == [
+            direct.encrypt_line(a, line) for a, line in zip(addresses, lines)
+        ]
+        assert direct.decrypt_lines(addresses, sealed) == lines
 
 
 # ----------------------------------------------------------------------

@@ -110,14 +110,16 @@ class TestVectorAES:
         with pytest.raises(ValueError, match=r"\(n, 16\)"):
             aes.decrypt_blocks(np.zeros(16, dtype=np.uint8))
 
-    def test_large_batch_matches_scalar(self):
-        key = bytes(range(24))
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
+    @pytest.mark.parametrize("n_blocks", [1, 3, 257])
+    def test_large_batch_matches_scalar(self, key_len, n_blocks):
+        key = bytes(range(key_len))
         scalar = AES(key)
         vector = VectorAES(key)
         rng = np.random.default_rng(7)
-        blocks = rng.integers(0, 256, size=(257, 16), dtype=np.uint8)
+        blocks = rng.integers(0, 256, size=(n_blocks, 16), dtype=np.uint8)
         encrypted = vector.encrypt_blocks(blocks)
-        for row in (0, 100, 256):
+        for row in sorted({0, n_blocks // 2, n_blocks - 1}):
             assert (
                 encrypted[row].tobytes()
                 == scalar.encrypt_block(blocks[row].tobytes())
@@ -155,11 +157,12 @@ class TestGF128Table:
         with pytest.raises(ValueError, match=r"\(n, m, 16\)"):
             table.ghash_many(np.zeros((2, 3, 8), dtype=np.uint8))
 
-    def test_ghash_many_lanes_are_independent(self):
+    @pytest.mark.parametrize("positions", range(1, 18))
+    def test_ghash_many_lanes_are_independent(self, positions):
         h = bytes(reversed(range(16)))
         table = GF128Table(h)
         rng = np.random.default_rng(3)
-        blocks = rng.integers(0, 256, size=(5, 4, 16), dtype=np.uint8)
+        blocks = rng.integers(0, 256, size=(5, positions, 16), dtype=np.uint8)
         batched = table.ghash_many(blocks)
         for lane in range(5):
             alone = table.ghash_many(blocks[lane : lane + 1])[0]
@@ -168,11 +171,19 @@ class TestGF128Table:
 
 
 class TestCtrSeeds:
-    def test_layout_matches_struct_pack(self):
-        seeds = ctr_seeds([0x1234, 0x40], [5, (1 << 32) + 2], 2)
+    @pytest.mark.parametrize(
+        "addresses",
+        [(0x1234, 0x40), (-1, -0x80), ((1 << 64) + 0x40, (1 << 70) - 1)],
+        ids=["in-range", "negative", "over-64-bits"],
+    )
+    def test_layout_matches_struct_pack(self, addresses):
+        counters = (5, (1 << 32) + 2)
+        seeds = ctr_seeds(addresses, counters, 2)
         expected = b"".join(
-            struct.pack("<QII", address, counter & 0xFFFFFFFF, block)
-            for address, counter in ((0x1234, 5), (0x40, (1 << 32) + 2))
+            struct.pack(
+                "<QII", address & 0xFFFFFFFFFFFFFFFF, counter & 0xFFFFFFFF, block
+            )
+            for address, counter in zip(addresses, counters)
             for block in range(2)
         )
         assert seeds == expected
