@@ -7,7 +7,7 @@ mix while the ``REPRO_CHAOS`` hooks sabotage it on purpose:
 * **connection drops** — responses to the ``drop-*`` tenants are
   truncated mid-write and the socket hard-closed;
 * **worker kill** — the first batch carrying the ``killer`` tenant
-  hard-exits its pool worker (the pool is rebuilt);
+  hard-exits its worker slot (the slot is restarted);
 * **write stalls** — responses to the ``stall-*`` tenants are delayed.
 
 Every fault is one-shot (sentinel files), so the retrying client's

@@ -11,8 +11,9 @@ experiment into independent :class:`SweepUnit` cells — one per
 * **atomic per-cell JSON checkpoints** (:class:`CheckpointStore`) written
   as each cell finishes, so a crash or Ctrl-C loses at most the cells in
   flight,
-* ``--jobs N`` fan-out over a :class:`~concurrent.futures
-  .ProcessPoolExecutor`, and
+* ``--jobs N`` fan-out over long-lived worker slots
+  (:class:`repro.faults.worker.SlotPool`, through
+  :func:`~repro.faults.runner.run_hardened`), and
 * ``--resume``, which reloads completed cells and recomputes only the
   rest (corrupt or stale checkpoints are rejected and recomputed).
 

@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--request-timeout", type=float, default=None, metavar="SECONDS",
         help="per-request budget; overruns fail with code 'timeout' and, "
-        "with --workers, kill and rebuild the pool",
+        "with --workers, kill the hung worker and fork a fresh one",
     )
     p_serve.add_argument(
         "--quota-rate", type=float, default=0.0, metavar="LINES_PER_S",

@@ -9,11 +9,12 @@ Two halves, one subsystem:
   :func:`~repro.faults.campaign.run_fault_campaign` quantifies what the
   per-line authenticator catches (everything on encrypted lines) versus
   what smart encryption leaves silently corruptible (plaintext lines).
-* :mod:`~repro.faults.runner` / :mod:`~repro.faults.chaos` /
-  :mod:`~repro.faults.quarantine` harden the *experiment pipeline* —
-  per-unit timeouts, bounded deterministic retry, crash isolation with
-  named failures, environment-driven chaos hooks to prove it all works,
-  and quarantine for corrupt on-disk artifacts.
+* :mod:`~repro.faults.runner` / :mod:`~repro.faults.worker` /
+  :mod:`~repro.faults.chaos` / :mod:`~repro.faults.quarantine` harden the
+  *experiment pipeline* and the serving workers — per-unit timeouts,
+  bounded deterministic retry, crash isolation with named failures,
+  environment-driven chaos hooks to prove it all works, and quarantine
+  for corrupt on-disk artifacts.
 
 The runner half is imported eagerly (it is a dependency of the parallel
 runners); the tamper/campaign half is loaded lazily so importing

@@ -1,11 +1,12 @@
 """Hardened unit execution: timeouts, bounded retry, crash isolation.
 
 :func:`repro.sim.parallel.run_units` and :func:`repro.attacks.sweep
-.run_sweep` both fan independent, content-keyed units over a process pool.
-Before this module they shared the pool's failure modes too: one raising
-worker surfaced as a bare traceback with no unit named, a crashed worker
-(``BrokenProcessPool``) aborted every in-flight unit, and a hung worker
-stalled the run forever.  :func:`run_hardened` is the shared execution
+.run_sweep` both fan independent, content-keyed units over worker
+processes — the long-lived slots of :mod:`repro.faults.worker`, one unit
+in flight per slot.  A plain process pool shares its failure modes among
+the units: one raising worker surfaces as a bare traceback with no unit
+named, a crashed worker aborts every in-flight unit, and a hung worker
+stalls the run forever.  :func:`run_hardened` is the shared execution
 layer that fixes all three:
 
 * **named failures** — any unit that fails permanently is reported as a
@@ -16,18 +17,19 @@ layer that fixes all three:
   backoff_factor^(attempt-1)`` pauses (no jitter: identical runs retry at
   identical offsets);
 * **per-unit timeout** — a unit running past ``timeout_seconds`` is
-  killed (the pool is torn down and rebuilt; queued units are resubmitted
-  without being charged an attempt);
-* **crash isolation** — a worker that dies rebuilds the pool and only the
-  units that were in flight are charged; a *poisoned* unit (one that
-  fails on every attempt) fails alone, after every other unit has
-  completed and been delivered through ``on_result`` — which is what lets
-  callers checkpoint the survivors before the error propagates.
+  killed with its slot, which is forked afresh for the next unit;
+* **crash isolation** — a slot that dies is restarted alone and only the
+  unit it was running is charged; units on other slots run on
+  undisturbed.  A *poisoned* unit (one that fails on every attempt) fails
+  alone, after every other unit has completed and been delivered through
+  ``on_result`` — which is what lets callers checkpoint the survivors
+  before the error propagates.
 
 Counters land in the caller's metrics registry under a shared prefix
 (default ``runner``): ``runner.attempts``, ``runner.retries``,
 ``runner.failures``, ``runner.timeouts``, ``runner.crashes``,
-``runner.pool_restarts``.
+``runner.pool_restarts`` (one per slot restarted after a crash or a
+timeout kill).
 
 Progress is also *streamed* as ``repro.events/v1`` events
 (:mod:`repro.obs.events`) so a long fan-out is watchable live (``repro
@@ -40,19 +42,15 @@ unit's short key, label, and the campaign prefix.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..obs.events import get_events
 from ..obs.metrics import MetricsRegistry, get_metrics
+from .worker import SlotCrashed, SlotPool
 
 __all__ = ["RetryPolicy", "UnitExecutionError", "run_hardened"]
-
-#: Poll interval (seconds) for the pool loop when a timeout is armed.
-_TICK_SECONDS = 0.05
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -129,26 +127,6 @@ class _Failure:
 _FAILURE_COUNTERS = {"error": "failures", "timeout": "timeouts", "crash": "crashes"}
 
 
-def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even if its workers are hung or dead.
-
-    ``shutdown(wait=False, cancel_futures=True)`` drains the queue, then
-    any worker still alive (a hung unit) is terminated and, failing that,
-    killed — reclaiming the pool's slots is what makes a per-unit timeout
-    an isolation boundary rather than a cosmetic error message.
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=2.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=2.0)
-
-
 def run_hardened(
     worker: Callable,
     todo: Sequence[tuple[str, str, object]],
@@ -166,9 +144,10 @@ def run_hardened(
     moment each unit completes (checkpoint/cache hook) — including for
     units that complete before some other unit fails permanently.  With
     ``jobs == 1`` everything runs inline in this process (no timeout
-    enforcement — there is no second process to preempt from); otherwise a
-    :class:`~concurrent.futures.ProcessPoolExecutor` is used and
-    ``worker`` and the items must be picklable.
+    enforcement — there is no second process to preempt from); otherwise
+    units run on ``min(jobs, len(todo))`` forked worker slots
+    (:class:`~repro.faults.worker.SlotPool`), which inherit ``worker``
+    and receive the pickled items; results must be picklable too.
 
     Raises :class:`UnitExecutionError` for the first permanently-failed
     unit (others attached via ``more_failures``) only after every
@@ -281,92 +260,53 @@ def _run_pool(
     note_started: Callable[[str], None] = lambda key: None,
 ) -> None:
     items = {key: item for key, _, item in todo}
-    attempts: dict[str, int] = {key: 0 for key, _, _ in todo}
-    workers = min(jobs, len(todo))
-    pool = ProcessPoolExecutor(max_workers=workers)
-    running: dict[Future, tuple[str, float]] = {}
-    retry_at: list[tuple[float, str, bool]] = []  # (release time, key, charge)
+    attempts = dict.fromkeys(items, 0)
+    ready = deque(items)
+    retry_at: list[tuple[float, str]] = []  # (release time, key)
+    timeout = policy.timeout_seconds
 
-    def submit(key: str, *, charge: bool = True) -> None:
-        nonlocal pool
-        if charge:
-            attempts[key] += 1
-            metrics.count(f"{prefix}.attempts")
-            if attempts[key] == 1:
-                note_started(key)
-        try:
-            future = pool.submit(worker, items[key])
-        except BrokenProcessPool:
-            # The pool died between iterations.  Requeue this key (already
-            # charged) and rebuild immediately if no in-flight future is
-            # left to trigger the rebuild path for us.
-            retry_at.append((time.monotonic() + _TICK_SECONDS, key, False))
-            if not running:
-                _shutdown_pool(pool)
-                metrics.count(f"{prefix}.pool_restarts")
-                pool = ProcessPoolExecutor(max_workers=workers)
-            return
-        running[future] = (key, time.monotonic())
-
-    def handle_attempt_failure(key: str, kind: str, cause: BaseException | None) -> None:
+    def failed(key: str, kind: str, cause: BaseException | None) -> None:
         if attempt_failed(key, attempts[key], kind, cause):
-            retry_at.append((time.monotonic() + policy.backoff(attempts[key]), key, True))
+            retry_at.append((time.monotonic() + policy.backoff(attempts[key]), key))
 
+    pool = SlotPool(
+        worker,
+        min(jobs, len(todo)),
+        on_restart=lambda: metrics.count(f"{prefix}.pool_restarts"),
+    )
     try:
-        for key, _, _ in todo:
-            submit(key)
-        while running or retry_at:
+        while ready or retry_at or pool.busy:
             now = time.monotonic()
-            due = [(key, charge) for release, key, charge in retry_at if release <= now]
+            ready.extend(key for release, key in retry_at if release <= now)
             retry_at = [entry for entry in retry_at if entry[0] > now]
-            for key, charge in due:
-                submit(key, charge=charge)
-            if not running:
-                if retry_at:
-                    time.sleep(max(0.0, min(r for r, _, _ in retry_at) - now))
+            for index in pool.idle()[: len(ready)]:
+                key = ready.popleft()
+                attempts[key] += 1
+                metrics.count(f"{prefix}.attempts")
+                if attempts[key] == 1:
+                    note_started(key)
+                pool.submit(index, key, items[key])
+
+            # Sleep until a reply, the next retry release or the first
+            # unit deadline, whichever comes first.
+            wakeups = [release for release, _ in retry_at]
+            if timeout is not None:
+                wakeups += [started + timeout for _, started in pool.busy.values()]
+            wait_for = max(0.0, min(wakeups) - now) if wakeups else None
+            if not pool.busy:
+                time.sleep(wait_for or 0.0)
                 continue
-
-            wait_timeout: float | None = None
-            if policy.timeout_seconds is not None or retry_at:
-                wait_timeout = _TICK_SECONDS
-            done, _ = wait(set(running), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-
-            pool_broken = False
-            for future in done:
-                key, _started = running.pop(future)
-                try:
-                    value = future.result()
-                except BrokenProcessPool as error:
-                    pool_broken = True
-                    handle_attempt_failure(key, "crash", error)
-                except Exception as error:  # noqa: BLE001 — wrapped per unit
-                    handle_attempt_failure(key, "error", error)
-                else:
+            for key, ok, value in pool.wait(wait_for):
+                if ok:
                     deliver(key, value)
+                else:
+                    failed(key, "crash" if isinstance(value, SlotCrashed) else "error", value)
 
-            if policy.timeout_seconds is not None:
+            if timeout is not None:
                 now = time.monotonic()
-                for future in list(running):
-                    key, started = running[future]
-                    if future.running() and now - started >= policy.timeout_seconds:
-                        del running[future]
-                        future.cancel()
-                        pool_broken = True  # worker must be killed to reclaim the slot
-                        handle_attempt_failure(key, "timeout", None)
-
-            if pool_broken:
-                # The executor is unreliable (dead or deliberately killed
-                # workers): rebuild it and resubmit the innocents — units
-                # whose attempt we aborted are not charged a new one.
-                innocents = []
-                for future, (key, _started) in list(running.items()):
-                    future.cancel()
-                    innocents.append(key)
-                running.clear()
-                _shutdown_pool(pool)
-                metrics.count(f"{prefix}.pool_restarts")
-                pool = ProcessPoolExecutor(max_workers=workers)
-                for key in innocents:
-                    submit(key, charge=False)
+                for index, (key, started) in list(pool.busy.items()):
+                    if now - started >= timeout:
+                        pool.kill(index)  # the only way to reclaim the slot
+                        failed(key, "timeout", None)
     finally:
-        _shutdown_pool(pool)
+        pool.stop()

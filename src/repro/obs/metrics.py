@@ -18,8 +18,9 @@ the CLI can persist machine-readable run trajectories::
 Counter names are dotted paths (``component.event``).  The registry is
 deliberately tiny — a dict of ints and a dict of timer aggregates behind a
 lock — so hooking it into the simulator's hot path costs microseconds.
-Worker processes build their own registries and the parent merges their
-snapshots (see :meth:`MetricsRegistry.merge`).
+Worker processes record into their own registries and the parent merges
+their snapshots or deltas (see :meth:`MetricsRegistry.merge` and
+:meth:`MetricsRegistry.delta`).
 """
 
 from __future__ import annotations
@@ -436,11 +437,33 @@ class MetricsRegistry:
             "derived": derived,
         }
 
-    def merge(self, snapshot: dict[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this registry.
+    def delta(self) -> dict[str, object]:
+        """Counters and raw timer aggregates recorded since the last call,
+        then cleared.
 
-        Used to aggregate worker-process metrics into the parent after a
-        parallel fan-out.
+        The per-item payload of a long-lived worker slot
+        (:mod:`repro.faults.worker`): no derived ratios, sorting or
+        quantiles.  The parent folds it with :meth:`merge`, as it would a
+        :meth:`snapshot`.
+        """
+        with self._lock:
+            counters, self.counters = self.counters, {}
+            timers, self.timers = self.timers, {}
+        fields = ("count", "total_seconds", "min_seconds", "max_seconds", "samples")
+        return {
+            "counters": counters,
+            "timers": {
+                name: {field: getattr(stat, field) for field in fields}
+                for name, stat in timers.items()
+            },
+        }
+
+    def merge(self, snapshot: dict[str, object]) -> None:
+        """Fold another registry's :meth:`snapshot` or :meth:`delta` into
+        this registry.
+
+        Used to aggregate worker-process metrics into the parent.  The
+        observation tap does not see merged timers.
         """
         for name, value in (snapshot.get("counters") or {}).items():  # type: ignore[union-attr]
             self.count(name, int(value))

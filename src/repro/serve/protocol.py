@@ -128,7 +128,7 @@ class ErrorCode(str, Enum):
 
 #: Codes a retrying client may transparently replay: the request either
 #: never reached execution (``overloaded``, ``unavailable``), the batch
-#: died before completing (``crashed`` — the pool is rebuilt), or the
+#: died before completing (``crashed`` — the worker is restarted), or the
 #: *response* was lost (``connection_lost``, synthesized client-side when
 #: the connection drops with requests in flight).  ``timeout`` is
 #: deliberately absent: a payload that hangs the datapath would burn a

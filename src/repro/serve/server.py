@@ -16,13 +16,17 @@ Admission control mirrors a production front end in miniature:
 * **quotas** — per-tenant token buckets charge one token per cache line
   of crypto work (``serve.requests.rejected.quota``);
 * **timeouts** — a request running past ``request_timeout`` fails with
-  ``timeout`` (``serve.requests.timeout``); with a process pool the hung
-  worker is killed and the pool rebuilt;
-* **crash isolation** — with ``workers > 0`` the crypto executes in a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; a worker that dies
-  mid-batch fails only that batch (``crashed``) and the pool is rebuilt
-  (``serve.pool_restarts``), mirroring the ``run_hardened`` semantics of
-  :mod:`repro.faults.runner`.  Workers honour the same ``REPRO_CHAOS``
+  ``timeout`` (``serve.requests.timeout``); a hung worker slot is killed
+  and forked afresh for the next batch, while with ``workers == 0`` the
+  wedged thread is abandoned (``serve.inline.abandoned``) and later
+  batches get a fresh thread executor;
+* **crash isolation** — with ``workers > 0`` the crypto executes on
+  long-lived worker slots (:class:`repro.faults.worker.AsyncSlotPool`,
+  the same slots the sweep runner uses): each batch is pickled down a
+  socketpair to the slot with the fewest pending batches, and the slot
+  ships back the result plus a metrics delta.  A slot that dies fails
+  only the batches it had in flight (``crashed``) and is restarted alone
+  (``serve.pool_restarts``).  Workers honour the same ``REPRO_CHAOS``
   hooks as the sweep runners (label ``serve:<tenant>``), which is how the
   tests crash/hang them on purpose.
 
@@ -43,8 +47,7 @@ import hashlib
 import signal
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,9 +55,10 @@ from ..core.plan import ModelEncryptionPlan
 from ..core.seal import LINE_BYTES
 from ..schemes import get_scheme
 from ..faults.chaos import chaos_io_action, chaos_probe
+from ..faults.worker import AsyncSlotPool, SlotCrashed
 from ..obs.events import get_events
 from ..obs.live import SloPolicy, TelemetryHub
-from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from ..obs.metrics import get_metrics
 from ..obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..obs.trace import get_tracer, worker_tracer
 from .batcher import MicroBatcher
@@ -131,7 +135,7 @@ class ServeConfig:
     max_batch: int = 64  # requests per micro-batch
     batch_window: float = 0.0  # linger for stragglers (seconds)
     queue_limit: int = 256  # max in-flight requests before 429
-    workers: int = 0  # 0 = in-process threads; N = process pool
+    workers: int = 0  # 0 = in-process threads; N = worker slots
     request_timeout: float | None = None  # seconds; None = unbounded
     quota_rate: float = 0.0  # tenant tokens (lines)/second; 0 = off
     quota_burst: float | None = None  # bucket capacity (default: rate)
@@ -168,7 +172,7 @@ class ServeConfig:
 
 
 # ----------------------------------------------------------------------
-# Worker-pool entry point (module level so it pickles under spawn)
+# Worker-slot entry points
 # ----------------------------------------------------------------------
 _WORKER_SEALERS: dict[tuple, object] = {}
 
@@ -230,16 +234,18 @@ def _run_batch_spec(spec: dict) -> dict:
 
 
 def _pool_run_batch(spec: dict) -> tuple[dict, dict, list[dict]]:
-    """Worker-process wrapper: private metrics + tracer, shipped back."""
-    registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
-        with worker_tracer() as tracer:
-            result = _run_batch_spec(spec)
-            spans = tracer.span_dicts() if tracer is not None else []
-    finally:
-        set_metrics(previous)
-    return result, registry.snapshot(), spans
+    """Worker-slot wrapper: the result plus what the slot's long-lived
+    registry recorded for this batch (a delta) and its spans."""
+    with worker_tracer() as tracer:
+        result = _run_batch_spec(spec)
+        spans = tracer.span_dicts() if tracer is not None else []
+    return result, get_metrics().delta(), spans
+
+
+def _slot_handler(spec: dict) -> tuple[dict, dict, list[dict]]:
+    # Looked up by name on every batch, so a wrapper patched over
+    # _pool_run_batch before the slot forked is the one that runs.
+    return _pool_run_batch(spec)
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +349,17 @@ class ModelServer:
             )
             for op in BATCHED_OPS
         }
-        self._sealer = None  # lazy (inline path; type per scheme)
-        self._pool: ProcessPoolExecutor | None = None
+        # Slots fork at their first batch, so building the pool is free.
+        self._pool = (
+            AsyncSlotPool(
+                _slot_handler,
+                self.config.workers,
+                on_restart=self._note_pool_restart,
+            )
+            if self.config.workers > 0
+            else None
+        )
+        self._inline = self._inline_executor()
         self._server: asyncio.base_events.Server | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._in_flight = 0
@@ -500,34 +515,27 @@ class ModelServer:
             writer.close()
         for batcher in self._batchers.values():
             await batcher.stop()
-        self._teardown_pool(restart=False)
+        if self._pool is not None:
+            await self._pool.stop()
+        self._inline.shutdown(wait=False)
         if self._hub is not None:
             self._hub.detach()
         if self.config.events_out:
             get_events().set_sink(None)
 
     # -- execution backends ---------------------------------------------
-    def _inline_sealer(self):
-        if self._sealer is None:
-            self._sealer = self.config.make_sealer()
-        return self._sealer
+    @staticmethod
+    def _note_pool_restart() -> None:
+        get_metrics().count("serve.pool_restarts")
+        get_events().emit("serve.pool.restarted")
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
-        return self._pool
-
-    def _teardown_pool(self, *, restart: bool) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # A hung or dead worker cannot be joined: kill outright, as
-            # run_hardened does on timeout (docs/fault-model.md §2).
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.kill()
-            pool.shutdown(wait=False, cancel_futures=True)
-            if restart:
-                get_metrics().count("serve.pool_restarts")
-                get_events().emit("serve.pool.restarted")
+    @staticmethod
+    def _inline_executor() -> ThreadPoolExecutor:
+        """Threads for inline batches (``workers == 0``, or degraded): one
+        per batched op, since each batcher runs one batch at a time."""
+        return ThreadPoolExecutor(
+            max_workers=len(BATCHED_OPS), thread_name_prefix="serve-inline"
+        )
 
     def _spec(self, op: str, items: Sequence[_WorkItem]) -> dict:
         spec: dict = {
@@ -595,21 +603,16 @@ class ModelServer:
 
     async def _dispatch_spec(self, spec: dict) -> dict:
         """Run one flattened batch on the configured backend, hardened."""
-        loop = asyncio.get_running_loop()
         timeout = self.config.request_timeout
         if self._pool_allowed():
-            pool = self._ensure_pool()
-            future = loop.run_in_executor(pool, _pool_run_batch, spec)
             try:
-                result, metrics, spans = await asyncio.wait_for(future, timeout)
-            except (asyncio.TimeoutError, TimeoutError):
-                self._teardown_pool(restart=True)
+                result, metrics, spans = await self._pool.call(spec, timeout)
+            except TimeoutError:
                 raise _OpError(
                     ErrorCode.TIMEOUT,
                     f"batch exceeded the {timeout:g}s request budget",
                 ) from None
-            except BrokenProcessPool:
-                self._teardown_pool(restart=True)
+            except SlotCrashed:
                 get_metrics().count("serve.worker_crashes")
                 self._note_pool_crash()
                 raise _OpError(
@@ -630,13 +633,19 @@ class ModelServer:
             get_metrics().count("serve.degraded.batches")
             get_metrics().count("serve.degraded.requests", spec.get("requests", 1))
             spec = dict(spec, chaos=())
-        future = loop.run_in_executor(None, _run_batch_spec, spec)
+        executor = self._inline
+        future = asyncio.get_running_loop().run_in_executor(
+            executor, _run_batch_spec, spec
+        )
         try:
             return await asyncio.wait_for(future, timeout)
         except (asyncio.TimeoutError, TimeoutError):
-            # Inline threads cannot be killed; the response is released
-            # but the thread leaks until it finishes (use workers > 0 for
-            # real isolation — docs/serving.md "Failure modes").
+            # A thread cannot be killed: it runs on until the batch ends.
+            # Retire its executor so a wedged batch cannot starve later ones.
+            get_metrics().count("serve.inline.abandoned")
+            if self._inline is executor:
+                self._inline = self._inline_executor()
+                executor.shutdown(wait=False)
             raise _OpError(
                 ErrorCode.TIMEOUT,
                 f"batch exceeded the {timeout:g}s request budget",
@@ -831,9 +840,10 @@ class ModelServer:
             },
             "workers": {
                 "configured": self.config.workers,
-                "pool_live": self._pool is not None,
+                "pool_live": self._pool is not None and self._pool.alive,
                 "crashes": counters.get("serve.worker_crashes", 0),
                 "restarts": counters.get("serve.pool_restarts", 0),
+                "inline_abandoned": counters.get("serve.inline.abandoned", 0),
             },
         }
 
@@ -895,7 +905,7 @@ class ModelServer:
             "crypto_backend": self._crypto_backend(),
             "workers": {
                 "configured": self.config.workers,
-                "pool_alive": self._pool is not None,
+                "pool_alive": self._pool is not None and self._pool.alive,
             },
         }
         if self.quota.enabled:

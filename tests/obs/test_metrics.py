@@ -99,6 +99,36 @@ class TestMerge:
         assert snap["counters"]["sim.kernel_runs"] == 4
         assert snap["timers"]["sim.kernel"]["count"] == 1
 
+    def test_merged_deltas_equal_one_merged_snapshot(self):
+        # A long-lived worker ships one delta per batch; folding them must
+        # give the parent what one snapshot of the same observations gives.
+        batches = [
+            [("crypto.ctr", 0.002), ("crypto.gmac", 0.001)],
+            [("crypto.ctr", 0.004)],
+            [],
+            [("crypto.ctr", 0.003), ("serve.batch", 0.01), ("crypto.gmac", 0.0005)],
+        ]
+        worker, reference = MetricsRegistry(), MetricsRegistry()
+        by_delta, by_snapshot = MetricsRegistry(), MetricsRegistry()
+        for observations in batches:
+            for registry in (worker, reference):
+                registry.count("crypto.ctr.blocks", 8 * len(observations))
+                for name, seconds in observations:
+                    registry.observe(name, seconds)
+            by_delta.merge(worker.delta())
+        by_snapshot.merge(reference.snapshot())
+        assert by_delta.snapshot() == by_snapshot.snapshot()
+        assert worker.delta() == {"counters": {}, "timers": {}}
+
+    def test_delta_carries_raw_aggregates_only(self):
+        registry = MetricsRegistry()
+        registry.observe("crypto.ctr", 0.5)
+        timer = registry.delta()["timers"]["crypto.ctr"]
+        assert set(timer) == {
+            "count", "total_seconds", "min_seconds", "max_seconds", "samples"
+        }
+        assert "derived" not in registry.delta()
+
 
 class TestDerivedGuards:
     def test_zero_denominators_leave_fields_absent(self):

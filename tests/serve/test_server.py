@@ -10,12 +10,19 @@ workers on demand.
 import asyncio
 import contextlib
 import json
+import multiprocessing
 
 import pytest
 
 from repro.core.seal import LineSealer
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.serve import ModelServer, ServeClient, ServeConfig, ServeError
+from repro.serve import (
+    ModelServer,
+    RetryPolicy,
+    ServeClient,
+    ServeConfig,
+    ServeError,
+)
 from repro.serve.protocol import STREAM_LIMIT_BYTES, ErrorCode
 
 LINE = 128
@@ -254,6 +261,162 @@ class TestHardening:
                 assert info.value.code is ErrorCode.TIMEOUT
 
         run(scenario())
+
+    def test_inline_timeouts_abandon_threads_without_starving_later_batches(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_CHAOS",
+            json.dumps({"hang": ["serve:sloth"], "hang_seconds": 1.5}),
+        )
+
+        async def scenario():
+            config = ServeConfig(workers=0, request_timeout=0.3)
+            async with serving(config) as (_, client):
+                sealed = await client.seal(b"w" * LINE, counter=5, tenant="good")
+                hung = await asyncio.gather(
+                    client.seal(b"w" * LINE, counter=6, tenant="sloth"),
+                    client.unseal(**sealed, tenant="sloth"),
+                    client.verify(
+                        sealed["ciphertext"], sealed["tags"], counter=5,
+                        tenant="sloth",
+                    ),
+                    return_exceptions=True,
+                )
+                assert [error.code for error in hung] == [ErrorCode.TIMEOUT] * 3
+                # One wedged thread per batched op: a shared executor of
+                # that size would now be full until the hangs end.
+                start = asyncio.get_running_loop().time()
+                assert await client.unseal(**sealed, tenant="good") == b"w" * LINE
+                assert asyncio.get_running_loop().time() - start < 1.0
+                health = await client.health()
+                assert health["workers"]["inline_abandoned"] == 3
+            assert registry.counters["serve.inline.abandoned"] == 3
+
+        run(scenario())
+
+
+class TestWorkerSlots:
+    def test_crash_fails_every_pipelined_batch_then_the_slot_restarts(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_CHAOS",
+            json.dumps(
+                {"hang": ["serve:sloth"], "hang_seconds": 0.8, "crash": ["serve:evil"]}
+            ),
+        )
+
+        async def scenario():
+            config = ServeConfig(workers=1, request_timeout=30.0)
+            async with ModelServer(config) as server:
+                client = await ServeClient.connect(
+                    "127.0.0.1", server.port, retry=RetryPolicy(max_attempts=1)
+                )
+                try:
+                    sealed = await client.seal(b"p" * LINE, counter=3, tenant="good")
+                    # One slot, three ops: the verify holds the slot, the
+                    # crashing seal and the unseal queue behind it.
+                    slow = asyncio.ensure_future(
+                        client.verify(
+                            sealed["ciphertext"], sealed["tags"], counter=3,
+                            tenant="sloth",
+                        )
+                    )
+                    await asyncio.sleep(0.1)
+                    doomed = asyncio.ensure_future(
+                        client.seal(b"p" * LINE, counter=4, tenant="evil")
+                    )
+                    await asyncio.sleep(0.05)
+                    behind = asyncio.ensure_future(
+                        client.unseal(**sealed, tenant="good")
+                    )
+                    assert (await slow)["all_ok"] is True
+                    for task in (doomed, behind):
+                        with pytest.raises(ServeError) as info:
+                            await task
+                        assert info.value.code is ErrorCode.CRASHED
+                    assert await client.unseal(**sealed, tenant="good") == b"p" * LINE
+                    counters = (await client.stats())["counters"]
+                    assert counters["serve.worker_crashes"] == 2
+                    assert counters["serve.pool_restarts"] == 1
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+    def test_worker_exception_is_a_typed_error_and_the_slot_survives(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CHAOS", json.dumps({"fail": ["serve:poison"]}))
+
+        async def scenario():
+            async with serving(ServeConfig(workers=1)) as (_, client):
+                with pytest.raises(ServeError) as info:
+                    await client.seal(b"x" * LINE, counter=1, tenant="poison")
+                assert info.value.code is ErrorCode.INTERNAL
+                assert "ChaosFault" in str(info.value)
+                await client.seal(b"x" * LINE, counter=1, tenant="good")
+                counters = (await client.stats())["counters"]
+                assert "serve.pool_restarts" not in counters
+                assert "serve.worker_crashes" not in counters
+
+        run(scenario())
+
+    def test_ping_answers_while_a_4096_line_seal_is_in_flight(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_CHAOS",
+            json.dumps({"hang": ["serve:sloth"], "hang_seconds": 1.5}),
+        )
+        payload = bytes(range(256)) * (4096 * LINE // 256)
+
+        async def scenario():
+            config = ServeConfig(workers=1, request_timeout=30.0)
+            async with serving(config) as (server, client):
+                sealed = await client.seal(b"s" * LINE, counter=1, tenant="good")
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                slow = asyncio.ensure_future(
+                    client.verify(
+                        sealed["ciphertext"], sealed["tags"], counter=1,
+                        tenant="sloth",
+                    )
+                )
+                await asyncio.sleep(0.1)
+                # Its 512 kB frame queues behind the hung verify.  Client
+                # and server share this loop, so a blocking write would
+                # hold the ping below until the hang ends.
+                big = asyncio.ensure_future(
+                    client.seal(payload, counter=2, tenant="big")
+                )
+                await asyncio.sleep(0.2)
+                other = await ServeClient.connect("127.0.0.1", server.port)
+                try:
+                    assert (await other.ping())["pong"] is True
+                    assert loop.time() - start < 1.0
+                    assert not (slow.done() or big.done())
+                finally:
+                    await other.close()
+                await slow
+                reference = LineSealer(config.key).seal(
+                    payload, base_address=0, counter=2
+                )
+                assert (await big)["ciphertext"] == reference.ciphertext
+
+        run(scenario())
+
+    def test_no_worker_process_outlives_the_server(self, registry):
+        async def scenario():
+            async with serving(ServeConfig(workers=2)) as (_, client):
+                await asyncio.gather(
+                    *(client.seal(b"z" * LINE, counter=i) for i in range(8))
+                )
+                assert multiprocessing.active_children()
+
+        run(scenario())
+        assert multiprocessing.active_children() == []
 
 
 class TestStreamLimits:
