@@ -11,9 +11,9 @@ experiment into independent :class:`SweepUnit` cells — one per
 * **atomic per-cell JSON checkpoints** (:class:`CheckpointStore`) written
   as each cell finishes, so a crash or Ctrl-C loses at most the cells in
   flight,
-* ``--jobs N`` fan-out over long-lived worker slots
-  (:class:`repro.faults.worker.SlotPool`, through
-  :func:`~repro.faults.runner.run_hardened`), and
+* ``--jobs N`` fan-out through :func:`~repro.faults.runner.run_hardened`
+  (inline at ``--jobs 1``, else on long-lived worker slots whose metrics
+  deltas and spans come back to this run), and
 * ``--resume``, which reloads completed cells and recomputes only the
   rest (corrupt or stale checkpoints are rejected and recomputed).
 
@@ -55,14 +55,14 @@ from typing import Iterable, Sequence
 
 from ..core.keys import canonical_encode, content_key
 from ..core.seal import SealScheme
-from ..faults import CHAOS_ENV_VAR, RetryPolicy, chaos_probe, run_hardened
+from ..faults import RetryPolicy, run_hardened
 from ..faults.quarantine import quarantine_artifact
 from ..nn.data import SyntheticCIFAR10, train_adversary_split
 from ..nn.layers import set_init_rng
 from ..nn.models import build_model
 from ..obs.events import get_events
-from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from ..obs.trace import get_tracer, worker_tracer
+from ..obs.metrics import MetricsRegistry, get_metrics
+from ..obs.trace import get_tracer
 from ..sim.parallel import resolve_jobs
 from .security import SecurityExperimentConfig, SecurityOutcome, _train_victim
 from .substitute import (
@@ -567,28 +567,11 @@ class SweepResult:
         return "\n\n".join(parts)
 
 
-def _pool_worker(
-    unit: SweepUnit,
-) -> tuple[CellResult, dict[str, object], float, list[dict[str, object]]]:
-    """Worker entry point: compute one cell in a fresh metrics registry.
-
-    Returns ``(result, metrics snapshot, wall seconds, span dicts)`` — the
-    spans are empty unless the parent enabled tracing (``REPRO_TRACE``).
-    The chaos probe lets the hardening suite crash/hang/fail a chosen cell
-    by label (no-op unless ``REPRO_CHAOS`` is set).
-    """
-    if os.environ.get(CHAOS_ENV_VAR):
-        chaos_probe(unit.key(), unit.label)
-    local = MetricsRegistry()
-    previous = set_metrics(local)
+def _timed_cell(unit: SweepUnit) -> tuple[CellResult, float]:
+    """The cell worker: :func:`run_cell` (looked up per call) and its wall
+    seconds, which go into the checkpoint."""
     start = time.perf_counter()
-    try:
-        with worker_tracer() as tracer:
-            result = run_cell(unit)
-    finally:
-        set_metrics(previous)
-    spans = tracer.span_dicts() if tracer is not None else []
-    return result, local.snapshot(), time.perf_counter() - start, spans
+    return run_cell(unit), time.perf_counter() - start
 
 
 def run_sweep(
@@ -657,7 +640,9 @@ def run_sweep(
                 continue
         pending[key] = unit
 
-    def checkpoint(unit: SweepUnit, result: CellResult, seconds: float) -> None:
+    def deliver(key: str, unit: SweepUnit, outcome: tuple[CellResult, float]) -> None:
+        result, seconds = outcome
+        resolved[key] = result
         if store is not None:
             store.store(unit, result, wall_seconds=seconds)
             metrics.count("sweep.checkpoints.written")
@@ -674,54 +659,16 @@ def run_sweep(
         with metrics.timer("sweep.compute"), tracer.span(
             "sweep.run_sweep",
             {"cells": len(units), "pending": len(todo), "jobs": jobs},
-        ) as dispatch:
-            if jobs == 1 or len(todo) == 1:
-                # Route run_cell's ambient instrumentation (cell timers,
-                # train/augmentation counters) into this run's registry,
-                # exactly as the pool path does via worker snapshots.
-                previous = set_metrics(metrics)
-                try:
-
-                    def serial_worker(unit: SweepUnit) -> tuple[CellResult, float]:
-                        start = time.perf_counter()
-                        return run_cell(unit), time.perf_counter() - start
-
-                    def serial_deliver(key: str, unit: object, outcome: object) -> None:
-                        result, seconds = outcome  # type: ignore[misc]
-                        resolved[key] = result
-                        checkpoint(unit, result, seconds)  # type: ignore[arg-type]
-
-                    run_hardened(
-                        serial_worker,
-                        todo,
-                        jobs=1,
-                        policy=policy,
-                        metrics=metrics,
-                        on_result=serial_deliver,
-                        event_prefix="sweep.cell",
-                    )
-                finally:
-                    set_metrics(previous)
-            else:
-                metrics.count("sweep.pools")
-
-                def pool_deliver(key: str, unit: object, outcome: object) -> None:
-                    result, snapshot, seconds, spans = outcome  # type: ignore[misc]
-                    resolved[key] = result
-                    metrics.merge(snapshot)
-                    if dispatch:
-                        tracer.adopt(spans, parent=dispatch)
-                    checkpoint(unit, result, seconds)  # type: ignore[arg-type]
-
-                run_hardened(
-                    _pool_worker,
-                    todo,
-                    jobs=jobs,
-                    policy=policy,
-                    metrics=metrics,
-                    on_result=pool_deliver,
-                    event_prefix="sweep.cell",
-                )
+        ):
+            run_hardened(
+                _timed_cell,
+                todo,
+                jobs=jobs,
+                policy=policy,
+                metrics=metrics,
+                on_result=deliver,
+                event_prefix="sweep.cell",
+            )
     metrics.count("sweep.cells.total", len(units))
     events.emit("sweep.finished", cells=len(units), computed=len(todo))
     return SweepResult(cells=[resolved[key] for key in keys])

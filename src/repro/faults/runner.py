@@ -3,10 +3,10 @@
 :func:`repro.sim.parallel.run_units` and :func:`repro.attacks.sweep
 .run_sweep` both fan independent, content-keyed units over worker
 processes — the long-lived slots of :mod:`repro.faults.worker`, one unit
-in flight per slot.  A plain process pool shares its failure modes among
-the units: one raising worker surfaces as a bare traceback with no unit
-named, a crashed worker aborts every in-flight unit, and a hung worker
-stalls the run forever.  :func:`run_hardened` is the shared execution
+in flight per slot, driven from one :func:`asyncio.run` per fan-out.  A
+plain process pool shares its failure modes among the units: one raising
+worker surfaces as a bare traceback with no unit named, a crashed worker
+aborts every in-flight unit, and a hung worker stalls the run forever.  :func:`run_hardened` is the shared execution
 layer that fixes all three:
 
 * **named failures** — any unit that fails permanently is reported as a
@@ -18,6 +18,13 @@ layer that fixes all three:
   identical offsets);
 * **per-unit timeout** — a unit running past ``timeout_seconds`` is
   killed with its slot, which is forked afresh for the next unit;
+* **one worker, two places** — the same ``worker`` runs inline (with the
+  caller's registry installed as the ambient one) or in a slot, wrapped
+  in :func:`~repro.faults.worker.traced_delta` after the chaos probe; the
+  slot's metrics delta is merged into the caller's registry and its spans
+  are re-rooted under the caller's current span, so every delivered unit
+  lands the same metrics and one trace tree either way (a failed slot
+  attempt ships none);
 * **crash isolation** — a slot that dies is restarted alone and only the
   unit it was running is charged; units on other slots run on
   undisturbed.  A *poisoned* unit (one that fails on every attempt) fails
@@ -41,14 +48,17 @@ unit's short key, label, and the campaign prefix.
 
 from __future__ import annotations
 
+import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from ..obs.events import get_events
-from ..obs.metrics import MetricsRegistry, get_metrics
-from .worker import SlotCrashed, SlotPool
+from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from ..obs.trace import get_tracer
+from .chaos import chaos_probe
+from .worker import AsyncSlotPool, SlotCrashed, SlotTimeout, traced_delta
 
 __all__ = ["RetryPolicy", "UnitExecutionError", "run_hardened"]
 
@@ -127,6 +137,15 @@ class _Failure:
 _FAILURE_COUNTERS = {"error": "failures", "timeout": "timeouts", "crash": "crashes"}
 
 
+def _slot_unit(worker: Callable, message: tuple[str, str, object]) -> tuple[object, dict, list[dict]]:
+    """Slot side of one unit: the chaos probe (a no-op unless
+    ``REPRO_CHAOS`` is set), then ``worker`` with its metrics delta and
+    spans."""
+    key, label, item = message
+    chaos_probe(key, label)
+    return traced_delta(worker, item)
+
+
 def run_hardened(
     worker: Callable,
     todo: Sequence[tuple[str, str, object]],
@@ -143,11 +162,12 @@ def run_hardened(
     Returns ``{key: result}``.  ``on_result(key, item, result)`` fires the
     moment each unit completes (checkpoint/cache hook) — including for
     units that complete before some other unit fails permanently.  With
-    ``jobs == 1`` everything runs inline in this process (no timeout
-    enforcement — there is no second process to preempt from); otherwise
-    units run on ``min(jobs, len(todo))`` forked worker slots
-    (:class:`~repro.faults.worker.SlotPool`), which inherit ``worker``
-    and receive the pickled items; results must be picklable too.
+    ``jobs == 1`` everything runs inline in this process, with ``metrics``
+    as the ambient registry (no timeout enforcement — there is no second
+    process to preempt from); otherwise units run on ``min(jobs,
+    len(todo))`` forked worker slots, one unit in flight each, which
+    inherit ``worker`` and receive the pickled items; results must be
+    picklable too.
 
     Raises :class:`UnitExecutionError` for the first permanently-failed
     unit (others attached via ``more_failures``) only after every
@@ -205,34 +225,75 @@ def run_hardened(
             campaign=prefix,
         )
 
-    if jobs <= 1 or len(todo) == 1:
-        for key, _, item in todo:
-            attempts = 0
-            note_started(key)
-            while True:
-                attempts += 1
-                metrics.count(f"{prefix}.attempts")
-                try:
-                    value = worker(item)
-                except Exception as error:  # noqa: BLE001 — wrapped below
-                    if attempt_failed(key, attempts, "error", error):
-                        time.sleep(policy.backoff(attempts))
-                        continue
-                    break
-                deliver(key, value)
-                break
-    else:
-        _run_pool(
-            worker,
-            todo,
-            jobs=jobs,
-            policy=policy,
-            metrics=metrics,
-            prefix=prefix,
-            deliver=deliver,
-            attempt_failed=attempt_failed,
-            note_started=note_started,
+    async def run_pool(width: int) -> None:
+        # One call per slot: a crash or a timeout charges only its own
+        # unit.  The gate wakes waiters in order, so units start in
+        # ``todo`` order and a retry queues behind those already waiting.
+        pool = AsyncSlotPool(
+            partial(_slot_unit, worker),
+            width,
+            on_restart=lambda: metrics.count(f"{prefix}.pool_restarts"),
         )
+        gate = asyncio.Semaphore(width)
+        tracer = get_tracer()
+
+        async def run(key: str, label: str, item: object) -> None:
+            attempts = 0
+            while True:
+                async with gate:
+                    attempts += 1
+                    metrics.count(f"{prefix}.attempts")
+                    if attempts == 1:
+                        note_started(key)
+                    try:
+                        value, delta, spans = await pool.call(
+                            (key, label, item), policy.timeout_seconds
+                        )
+                    except SlotTimeout:  # the slot was killed with the unit
+                        kind, cause = "timeout", None
+                    except SlotCrashed as error:
+                        kind, cause = "crash", error
+                    except Exception as error:  # noqa: BLE001 — wrapped below
+                        kind, cause = "error", error
+                    else:
+                        metrics.merge(delta)
+                        tracer.adopt(spans)  # under the caller's current span
+                        deliver(key, value)
+                        return
+                    if not attempt_failed(key, attempts, kind, cause):
+                        return
+                await asyncio.sleep(policy.backoff(attempts))
+
+        units = [asyncio.ensure_future(run(*unit)) for unit in todo]
+        try:
+            await asyncio.gather(*units)
+        finally:
+            for unit in units:
+                unit.cancel()
+            await pool.stop()
+
+    if jobs <= 1 or len(todo) == 1:
+        previous = set_metrics(metrics)
+        try:
+            for key, _, item in todo:
+                attempts = 0
+                note_started(key)
+                while True:
+                    attempts += 1
+                    metrics.count(f"{prefix}.attempts")
+                    try:
+                        value = worker(item)
+                    except Exception as error:  # noqa: BLE001 — wrapped below
+                        if attempt_failed(key, attempts, "error", error):
+                            time.sleep(policy.backoff(attempts))
+                            continue
+                        break
+                    deliver(key, value)
+                    break
+        finally:
+            set_metrics(previous)
+    else:
+        asyncio.run(run_pool(min(jobs, len(todo))))
 
     if failures:
         errors = [
@@ -245,68 +306,3 @@ def run_hardened(
             more_failures=errors[1:],
         )
     return results
-
-
-def _run_pool(
-    worker: Callable,
-    todo: Sequence[tuple[str, str, object]],
-    *,
-    jobs: int,
-    policy: RetryPolicy,
-    metrics: MetricsRegistry,
-    prefix: str,
-    deliver: Callable[[str, object], None],
-    attempt_failed: Callable[[str, int, str, BaseException | None], bool],
-    note_started: Callable[[str], None] = lambda key: None,
-) -> None:
-    items = {key: item for key, _, item in todo}
-    attempts = dict.fromkeys(items, 0)
-    ready = deque(items)
-    retry_at: list[tuple[float, str]] = []  # (release time, key)
-    timeout = policy.timeout_seconds
-
-    def failed(key: str, kind: str, cause: BaseException | None) -> None:
-        if attempt_failed(key, attempts[key], kind, cause):
-            retry_at.append((time.monotonic() + policy.backoff(attempts[key]), key))
-
-    pool = SlotPool(
-        worker,
-        min(jobs, len(todo)),
-        on_restart=lambda: metrics.count(f"{prefix}.pool_restarts"),
-    )
-    try:
-        while ready or retry_at or pool.busy:
-            now = time.monotonic()
-            ready.extend(key for release, key in retry_at if release <= now)
-            retry_at = [entry for entry in retry_at if entry[0] > now]
-            for index in pool.idle()[: len(ready)]:
-                key = ready.popleft()
-                attempts[key] += 1
-                metrics.count(f"{prefix}.attempts")
-                if attempts[key] == 1:
-                    note_started(key)
-                pool.submit(index, key, items[key])
-
-            # Sleep until a reply, the next retry release or the first
-            # unit deadline, whichever comes first.
-            wakeups = [release for release, _ in retry_at]
-            if timeout is not None:
-                wakeups += [started + timeout for _, started in pool.busy.values()]
-            wait_for = max(0.0, min(wakeups) - now) if wakeups else None
-            if not pool.busy:
-                time.sleep(wait_for or 0.0)
-                continue
-            for key, ok, value in pool.wait(wait_for):
-                if ok:
-                    deliver(key, value)
-                else:
-                    failed(key, "crash" if isinstance(value, SlotCrashed) else "error", value)
-
-            if timeout is not None:
-                now = time.monotonic()
-                for index, (key, started) in list(pool.busy.items()):
-                    if now - started >= timeout:
-                        pool.kill(index)  # the only way to reclaim the slot
-                        failed(key, "timeout", None)
-    finally:
-        pool.stop()

@@ -1,21 +1,26 @@
-"""Long-lived worker slots over socketpairs, shared by both hardened pools.
+"""Long-lived worker slots over socketpairs, shared by every fan-out.
 
 A **slot** is one forked process plus the parent's end of a
 :func:`socket.socketpair`.  Frames are a 4-byte big-endian length and a
 pickle: the parent sends items, the slot answers each in order with
 ``(True, value)`` or ``(False, exception)``.  A slot installs one
-:class:`~repro.obs.metrics.MetricsRegistry` when it starts and keeps it,
-so a handler can ship :meth:`~repro.obs.metrics.MetricsRegistry.delta`
-per item.  Slots fork rather than spawn: the handler is inherited, not
-pickled, so a module function patched before the fork is what runs.
+:class:`~repro.obs.metrics.MetricsRegistry` when it starts and keeps it;
+a handler wraps its work in :func:`traced_delta` to ship that registry's
+:meth:`~repro.obs.metrics.MetricsRegistry.delta` and the item's spans
+with each reply.  Slots fork rather than spawn: the handler is inherited,
+not pickled, so a module function patched before the fork is what runs.
+At the fork the slot closes the parent's ends of every socketpair and
+any descriptor the owner names (a server's listening and client
+sockets), so a connection the parent closes is not kept open by a slot.
 
-:class:`SlotPool` is the synchronous face (one item in flight per slot,
-used by :func:`repro.faults.runner.run_hardened`); :class:`AsyncSlotPool`
-the asyncio one (items pipelined per slot, least-pending placement, used
-by :class:`repro.serve.server.ModelServer`).  Either way a slot that dies
-or is killed is retired alone: what it had in flight fails with
-:class:`SlotCrashed`, ``on_restart`` fires, and the next item sent to
-that position forks a fresh slot.  Callers keep their own policy on top.
+:class:`AsyncSlotPool` is the one face: items pipeline on a slot in FIFO
+order and go to the slot with the fewest calls in flight.
+:func:`repro.faults.runner.run_hardened` keeps one call per slot from one
+:func:`asyncio.run` per fan-out; :class:`repro.serve.server.ModelServer`
+pipelines batches from its event loop.  A slot that dies or is killed is
+retired alone: what it had in flight fails with :class:`SlotCrashed`,
+``on_restart`` fires, and the next call forks a fresh slot.  Callers keep
+their own policy on top.
 """
 
 from __future__ import annotations
@@ -23,18 +28,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import multiprocessing
+import os
 import pickle
 import signal
 import socket
 import struct
-import time
 from collections import deque
-from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Iterable
 
-from ..obs.metrics import MetricsRegistry, set_metrics
+from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from ..obs.trace import worker_tracer
 
-__all__ = ["SlotCrashed", "SlotPool", "AsyncSlotPool"]
+__all__ = ["SlotCrashed", "SlotTimeout", "AsyncSlotPool", "traced_delta"]
 
 _HEADER = struct.Struct("!I")
 _FORK = multiprocessing.get_context("fork")
@@ -42,6 +47,10 @@ _FORK = multiprocessing.get_context("fork")
 
 class SlotCrashed(RuntimeError):
     """The slot's process died, or was killed, with this item in flight."""
+
+
+class SlotTimeout(TimeoutError):
+    """The item ran past its timeout, and its slot was killed."""
 
 
 def _frame(message: object) -> bytes:
@@ -72,9 +81,24 @@ def _decode(body: bytes | bytearray) -> tuple[bool, object]:
         return False, RuntimeError(f"undecodable worker reply: {error!r}")
 
 
-def _slot_main(sock: socket.socket, handler: Callable, inherited: Iterable) -> None:
-    for other in inherited:  # the parent's ends of this and sibling slots
-        other.close()
+def traced_delta(work: Callable, item: object) -> tuple[object, dict, list[dict]]:
+    """Slot side of one item: ``(work(item), metrics delta, spans)``.
+
+    ``work`` runs under :func:`~repro.obs.trace.worker_tracer`; the delta
+    is what the slot's registry recorded for this item alone, since what
+    an item that raised left behind is dropped first.
+    """
+    get_metrics().delta()
+    with worker_tracer() as tracer:
+        value = work(item)
+        spans = tracer.span_dicts() if tracer is not None else []
+    return value, get_metrics().delta(), spans
+
+
+def _slot_main(sock: socket.socket, handler: Callable, inherited: Iterable[int]) -> None:
+    for fd in inherited:  # the parent's socketpair ends and the owner's sockets
+        with contextlib.suppress(OSError):
+            os.close(fd)
     # A forking asyncio server's wake-up fd is its loop's self-pipe: keep
     # signals sent to this slot from reaching the parent's loop too.
     with contextlib.suppress(ValueError):
@@ -96,10 +120,10 @@ def _slot_main(sock: socket.socket, handler: Callable, inherited: Iterable) -> N
 class _Slot:
     """One forked worker process and the parent's end of its socketpair."""
 
-    def __init__(self, handler: Callable, siblings: Iterable[socket.socket]) -> None:
+    def __init__(self, handler: Callable, inherited: Iterable[int]) -> None:
         self.sock, child = socket.socketpair()
         self.process = _FORK.Process(
-            target=_slot_main, args=(child, handler, [*siblings, self.sock]), daemon=True
+            target=_slot_main, args=(child, handler, [*inherited, self.sock.fileno()]), daemon=True
         )
         try:
             self.process.start()
@@ -112,89 +136,35 @@ class _Slot:
         self.process.join()
 
 
-class SlotPool:
-    """Synchronous face: ``size`` slots, at most one item in flight each.
-
-    ``busy`` maps a slot index to ``(tag, started)`` for the item it runs
-    (``started`` on the :func:`time.monotonic` clock, for timeouts).
-    """
-
-    def __init__(self, handler: Callable, size: int, *, on_restart: Callable[[], None]) -> None:
-        self._handler = handler
-        self._on_restart = on_restart
-        self._slots: list[_Slot | None] = [None] * size
-        self.busy: dict[int, tuple[object, float]] = {}
-
-    def idle(self) -> list[int]:
-        return [index for index in range(len(self._slots)) if index not in self.busy]
-
-    def submit(self, index: int, tag: object, item: object) -> None:
-        """Send ``item`` to idle slot ``index``, forking it if need be."""
-        slot = self._slots[index]
-        if slot is None:
-            live = [other.sock for other in self._slots if other is not None]
-            slot = self._slots[index] = _Slot(self._handler, live)
-        # A slot that died while idle refuses the frame; its sentinel then
-        # reports the item as crashed, as if it had died running it.
-        with contextlib.suppress(OSError):
-            slot.sock.sendall(_frame(item))
-        self.busy[index] = (tag, time.monotonic())
-
-    def wait(self, timeout: float | None) -> list[tuple[object, bool, object]]:
-        """``(tag, ok, value)`` for each reply within ``timeout`` seconds; an
-        item whose slot died comes back as ``(tag, False, SlotCrashed)``."""
-        owners = {}
-        for index in self.busy:
-            slot = self._slots[index]
-            owners[slot.sock] = owners[slot.process.sentinel] = index
-        ready = set(wait_ready(list(owners), timeout))
-        replies = []
-        for index in sorted({owners[handle] for handle in ready}):
-            sock = self._slots[index].sock
-            # A dead process with a quiet socket is a crash too: a
-            # grandchild may still hold the slot's end open.
-            body = _read_frame(sock) if sock in ready else None
-            if body is None:
-                replies.append((self.kill(index), False, SlotCrashed(f"worker slot {index} died")))
-            else:
-                replies.append((self.busy.pop(index)[0], *_decode(body)))
-        return replies
-
-    def kill(self, index: int) -> object:
-        """Retire busy slot ``index``; returns the tag it was running."""
-        tag, _ = self.busy.pop(index)
-        self._slots[index].kill()
-        self._slots[index] = None
-        self._on_restart()
-        return tag
-
-    def stop(self) -> None:
-        for slot in self._slots:
-            if slot is not None:
-                slot.kill()
-        self._slots = [None] * len(self._slots)
-        self.busy.clear()
-
-
 class _AsyncSlot:
     def __init__(self, slot: _Slot) -> None:
         self.slot = slot
         self.pending: deque[asyncio.Future] = deque()
+        self.calls = 0  # callers placed here and not yet answered
         self.writer: asyncio.StreamWriter | None = None
         self.reader: asyncio.Task | None = None
         self.connected: asyncio.Future | None = None  # the streams are open
 
 
 class AsyncSlotPool:
-    """asyncio face: ``size`` slots, items pipelined on each in FIFO order.
+    """``size`` slots, items pipelined on each in FIFO order.
 
     The parent socket is wrapped in asyncio streams, so writing a large
-    frame never blocks the event loop.
+    frame never blocks the event loop.  ``inherited()`` names the extra
+    file descriptors a slot closes when it forks.
     """
 
-    def __init__(self, handler: Callable, size: int, *, on_restart: Callable[[], None]) -> None:
+    def __init__(
+        self,
+        handler: Callable,
+        size: int,
+        *,
+        on_restart: Callable[[], None],
+        inherited: Callable[[], Iterable[int]] = tuple,
+    ) -> None:
         self._handler = handler
         self._on_restart = on_restart
+        self._inherited = inherited
         self._slots: list[_AsyncSlot | None] = [None] * size
 
     @property
@@ -202,31 +172,37 @@ class AsyncSlotPool:
         return any(entry is not None for entry in self._slots)
 
     async def call(self, item: object, timeout: float | None = None) -> object:
-        """Run ``item`` on the slot with the fewest pending items.
+        """Run ``item`` on the slot with the fewest calls in flight.
 
         Raises the handler's exception, :class:`SlotCrashed`, or
-        :class:`TimeoutError` after ``timeout`` seconds — the slot is then
+        :class:`SlotTimeout` after ``timeout`` seconds — the slot is then
         killed and whatever else it had in flight fails with
         :class:`SlotCrashed`.
         """
         slots = self._slots
-        index = min(range(len(slots)), key=lambda i: len(slots[i].pending) if slots[i] else 0)
+        index = min(range(len(slots)), key=lambda i: slots[i].calls if slots[i] else 0)
         entry = slots[index]
         if entry is None:
-            live = [other.slot.sock for other in slots if other is not None]
-            entry = slots[index] = _AsyncSlot(_Slot(self._handler, live))
+            live = [other.slot.sock.fileno() for other in slots if other is not None]
+            entry = slots[index] = _AsyncSlot(_Slot(self._handler, [*live, *self._inherited()]))
             entry.connected = asyncio.ensure_future(self._connect(entry))
-        await entry.connected
-        if entry not in self._slots:  # retired while connecting
-            raise SlotCrashed(f"worker slot {index} died before the item was sent")
-        future = asyncio.get_running_loop().create_future()
-        entry.pending.append(future)
-        entry.writer.write(_frame(item))
+        entry.calls += 1  # counted before connecting: a racing call goes elsewhere
+        future = None
         try:
+            await entry.connected
+            if entry not in self._slots:  # retired while connecting
+                raise SlotCrashed(f"worker slot {index} died before the item was sent")
+            future = asyncio.get_running_loop().create_future()
+            entry.pending.append(future)
+            entry.writer.write(_frame(item))
             return await asyncio.wait_for(future, timeout)
         except (asyncio.TimeoutError, TimeoutError):
+            if future is None or not future.cancelled():
+                raise  # the handler's own TimeoutError: the slot is fine
             self._retire(entry, f"worker slot {index} killed after a timeout")
-            raise TimeoutError from None
+            raise SlotTimeout(f"worker slot {index} killed after {timeout:g}s") from None
+        finally:
+            entry.calls -= 1
 
     async def _connect(self, entry: _AsyncSlot) -> None:
         # A generous buffer limit: a 4096-line reply is one ~0.6 MB frame.

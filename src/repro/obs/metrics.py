@@ -502,8 +502,8 @@ def get_metrics() -> MetricsRegistry:
 def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-wide registry; returns the previous one.
 
-    Worker processes install a fresh registry so their instrumentation can
-    be snapshotted and merged back into the parent without double counting.
+    A worker slot installs one registry for its life and ships its
+    :meth:`delta` per item; an inline fan-out installs the caller's.
     """
     global _GLOBAL
     previous = _GLOBAL

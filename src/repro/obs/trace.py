@@ -468,7 +468,8 @@ def worker_tracer() -> Iterator[Tracer | None]:
 
     Yields the local tracer (its ``span_dicts()`` are the payload to ship
     back) or ``None`` when tracing is off — the common case, costing one
-    environment lookup.  Used by the ``_pool_worker`` entry points.
+    environment lookup.  Used by :func:`repro.faults.worker.traced_delta`,
+    which every worker-slot handler runs its item under.
     """
     if not os.environ.get(TRACE_ENV_VAR):
         yield None

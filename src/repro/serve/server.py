@@ -55,12 +55,12 @@ from ..core.plan import ModelEncryptionPlan
 from ..core.seal import LINE_BYTES
 from ..schemes import get_scheme
 from ..faults.chaos import chaos_io_action, chaos_probe
-from ..faults.worker import AsyncSlotPool, SlotCrashed
+from ..faults.worker import AsyncSlotPool, SlotCrashed, traced_delta
 from ..obs.events import get_events
 from ..obs.live import SloPolicy, TelemetryHub
 from ..obs.metrics import get_metrics
 from ..obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from ..obs.trace import get_tracer, worker_tracer
+from ..obs.trace import get_tracer
 from .batcher import MicroBatcher
 from .protocol import (
     BATCHED_OPS,
@@ -236,10 +236,7 @@ def _run_batch_spec(spec: dict) -> dict:
 def _pool_run_batch(spec: dict) -> tuple[dict, dict, list[dict]]:
     """Worker-slot wrapper: the result plus what the slot's long-lived
     registry recorded for this batch (a delta) and its spans."""
-    with worker_tracer() as tracer:
-        result = _run_batch_spec(spec)
-        spans = tracer.span_dicts() if tracer is not None else []
-    return result, get_metrics().delta(), spans
+    return traced_delta(_run_batch_spec, spec)
 
 
 def _slot_handler(spec: dict) -> tuple[dict, dict, list[dict]]:
@@ -355,6 +352,7 @@ class ModelServer:
                 _slot_handler,
                 self.config.workers,
                 on_restart=self._note_pool_restart,
+                inherited=self._socket_fds,
             )
             if self.config.workers > 0
             else None
@@ -1209,6 +1207,13 @@ class ModelServer:
         return response
 
     # -- connection plumbing --------------------------------------------
+    def _socket_fds(self) -> list[int]:
+        """The listening and client sockets, closed in a slot as it forks:
+        a connection this server closes must not stay open in a slot."""
+        listening = self._server.sockets if self._server is not None else ()
+        clients = (writer.get_extra_info("socket") for writer in self._writers)
+        return [sock.fileno() for sock in (*listening, *clients) if sock is not None]
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:

@@ -1,10 +1,12 @@
-"""Process-pool experiment runner with a content-addressed simulation cache.
+"""Experiment runner over worker slots with a content-addressed simulation cache.
 
 Every figure of the paper's evaluation is a fan-out of *independent* layer
 simulations: a :class:`SimUnit` is one ``(tagged LayerTraffic, GpuConfig,
-tile)`` triple, and :func:`run_units` executes a batch of them either
-inline or across a process pool, merging results deterministically in
-submission order regardless of completion order or worker count.
+tile)`` triple, and :func:`run_units` hands a batch of them to
+:func:`repro.faults.runner.run_hardened` — inline, or on forked worker
+slots whose metrics and spans come back to the caller — merging results
+deterministically in submission order regardless of completion order or
+worker count.
 
 Because a layer simulation is a pure function of its unit — the lowering
 allocates a fresh :class:`~repro.core.memory.SecureHeap` every time and the
@@ -36,9 +38,9 @@ from dataclasses import dataclass, field, replace
 from ..core.keys import canonical_encode, content_key
 from ..core.memory import SecureHeap
 from ..core.plan import LayerTraffic
-from ..faults import CHAOS_ENV_VAR, RetryPolicy, chaos_probe, run_hardened
-from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from ..obs.trace import get_tracer, worker_tracer
+from ..faults import RetryPolicy, run_hardened
+from ..obs.metrics import MetricsRegistry, get_metrics
+from ..obs.trace import get_tracer
 from .config import GpuConfig
 from .gpu import GpuSimulator, SimResult
 from .workloads import DEFAULT_TILE, layer_streams
@@ -199,30 +201,12 @@ def simulate_unit(unit: SimUnit) -> SimResult:
         return simulator.run(streams, label=unit.label)
 
 
-def _pool_worker(
-    unit: SimUnit,
-) -> tuple[SimResult, dict[str, object], list[dict[str, object]]]:
-    """Worker entry point: simulate, return (result, metrics, spans).
-
-    Each task records into a fresh registry so the parent can merge worker
-    instrumentation without double counting across pool task reuse; when
-    the parent is tracing, a fresh per-task tracer captures the unit's
-    span tree for re-rooting (empty list otherwise).  The chaos probe lets
-    the fault-injection suite crash/hang/fail a chosen unit (no-op unless
-    ``REPRO_CHAOS`` is set; the key hash is skipped on the production
-    path).
-    """
-    if os.environ.get(CHAOS_ENV_VAR):
-        chaos_probe(unit.key(), unit.label)
-    local = MetricsRegistry()
-    previous = set_metrics(local)
-    try:
-        with worker_tracer() as tracer:
-            result = simulate_unit(unit)
-    finally:
-        set_metrics(previous)
-    spans = tracer.span_dicts() if tracer is not None else []
-    return result, local.snapshot(), spans
+def _timed_unit(unit: SimUnit) -> SimResult:
+    """The unit worker: :func:`simulate_unit` (looked up per call), timed
+    as ``parallel.unit`` in the ambient registry — the caller's inline, a
+    worker slot's otherwise."""
+    with get_metrics().timer("parallel.unit"):
+        return simulate_unit(unit)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -278,50 +262,19 @@ def run_units(
     computed: set[str] = set(pending)
     if pending:
         todo = [(key, unit.label, unit) for key, unit in pending.items()]
+
+        def deliver(key: str, unit: object, result: SimResult) -> None:
+            resolved[key] = result
+            if store is not None:
+                store.put(key, result)
+
         with metrics.timer("parallel.compute"), tracer.span(
             "parallel.run_units",
             {"units": len(units), "pending": len(todo), "jobs": jobs},
-        ) as dispatch:
-            if jobs == 1 or len(todo) == 1:
-
-                def serial_worker(unit: SimUnit) -> SimResult:
-                    with metrics.timer("parallel.unit"):
-                        return simulate_unit(unit)
-
-                def serial_deliver(key: str, unit: object, result: object) -> None:
-                    assert isinstance(result, SimResult)
-                    resolved[key] = result
-                    if store is not None:
-                        store.put(key, result)
-
-                run_hardened(
-                    serial_worker,
-                    todo,
-                    jobs=1,
-                    policy=policy,
-                    metrics=metrics,
-                    on_result=serial_deliver,
-                )
-            else:
-                metrics.count("parallel.pools")
-
-                def pool_deliver(key: str, unit: object, outcome: object) -> None:
-                    result, snapshot, spans = outcome  # type: ignore[misc]
-                    resolved[key] = result
-                    metrics.merge(snapshot)
-                    if dispatch:
-                        tracer.adopt(spans, parent=dispatch)
-                    if store is not None:
-                        store.put(key, result)
-
-                run_hardened(
-                    _pool_worker,
-                    todo,
-                    jobs=jobs,
-                    policy=policy,
-                    metrics=metrics,
-                    on_result=pool_deliver,
-                )
+        ):
+            run_hardened(
+                _timed_unit, todo, jobs=jobs, policy=policy, metrics=metrics, on_result=deliver
+            )
 
     first_compute_claimed: set[str] = set()
     merged: list[SimResult] = []

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults.runner import RetryPolicy, run_hardened
-from repro.faults.worker import AsyncSlotPool, SlotCrashed, SlotPool
+from repro.faults.runner import RetryPolicy, UnitExecutionError, run_hardened
+from repro.faults.worker import AsyncSlotPool, SlotCrashed
 from repro.obs.metrics import MetricsRegistry, get_metrics
 
 
@@ -31,6 +31,8 @@ def _handle(item):
         os._exit(7)
     if action == "raise":
         raise ValueError(argument)
+    if action == "raise-timeout":
+        raise TimeoutError(argument)
     if action == "count":
         get_metrics().count("slot.items", argument)
         return get_metrics().delta()
@@ -46,64 +48,43 @@ def _no_restart():
 
 
 # ----------------------------------------------------------------------
-# Synchronous face
+# The slot pool
 # ----------------------------------------------------------------------
-
-def test_sync_round_trip_keeps_one_process_and_one_registry():
-    pool = SlotPool(_handle, 1, on_restart=_no_restart)
-    try:
-        pids, deltas = set(), []
-        for value in range(3):
-            pool.submit(0, value, ("pid", None))
-            ((tag, ok, pid),) = pool.wait(5.0)
-            assert (tag, ok) == (value, True)
-            pids.add(pid)
-            pool.submit(0, value, ("count", value + 1))
-            ((_, ok, delta),) = pool.wait(5.0)
-            deltas.append(delta["counters"])
+def test_round_trip_keeps_one_process_and_one_registry():
+    async def scenario():
+        pool = AsyncSlotPool(_handle, 1, on_restart=_no_restart)
+        try:
+            pids = {await pool.call(("pid", None)) for _ in range(3)}
+            deltas = [(await pool.call(("count", n)))["counters"] for n in (1, 2, 3)]
+        finally:
+            await pool.stop()
         assert len(pids) == 1 and pids != {os.getpid()}
         # One registry for the slot's life, cleared by each delta.
         assert deltas == [{"slot.items": 1}, {"slot.items": 2}, {"slot.items": 3}]
-    finally:
-        pool.stop()
+
+    asyncio.run(scenario())
     _assert_no_children()
 
 
 def test_sync_exception_is_typed_and_the_slot_survives():
-    pool = SlotPool(_handle, 1, on_restart=_no_restart)
-    try:
-        pool.submit(0, "bad", ("raise", "poisoned"))
-        ((tag, ok, error),) = pool.wait(5.0)
-        assert (tag, ok) == ("bad", False)
-        assert isinstance(error, ValueError) and str(error) == "poisoned"
-        pool.submit(0, "good", ("echo", 4))
-        assert pool.wait(5.0) == [("good", True, 4)]
-    finally:
-        pool.stop()
+    # One item at a time, each awaited before the next is sent.
+    async def scenario():
+        pool = AsyncSlotPool(_handle, 1, on_restart=_no_restart)
+        try:
+            pid = await pool.call(("pid", None))
+            with pytest.raises(ValueError) as excinfo:
+                await pool.call(("raise", "poisoned"))
+            assert type(excinfo.value) is ValueError
+            assert str(excinfo.value) == "poisoned"
+            assert await pool.call(("echo", 4)) == 4
+            assert await pool.call(("pid", None)) == pid
+        finally:
+            await pool.stop()
 
-
-def test_sync_crash_retires_only_that_slot():
-    restarts = []
-    pool = SlotPool(_handle, 2, on_restart=lambda: restarts.append(1))
-    try:
-        pool.submit(0, "victim", ("crash-after", 0.0))
-        pool.submit(1, "bystander", ("sleep", 0.3))
-        ((tag, ok, error),) = pool.wait(5.0)
-        assert (tag, ok) == ("victim", False)
-        assert isinstance(error, SlotCrashed)
-        assert restarts == [1]
-        assert list(pool.busy) == [1]
-        assert pool.wait(5.0) == [("bystander", True, 0.3)]
-        pool.submit(0, "next", ("echo", "ok"))  # forked afresh
-        assert pool.wait(5.0) == [("next", True, "ok")]
-    finally:
-        pool.stop()
+    asyncio.run(scenario())
     _assert_no_children()
 
 
-# ----------------------------------------------------------------------
-# asyncio face
-# ----------------------------------------------------------------------
 def test_async_pipelined_crash_fails_both_then_restarts():
     restarts = []
 
@@ -129,13 +110,41 @@ def test_async_exception_keeps_its_type():
     async def scenario():
         pool = AsyncSlotPool(_handle, 1, on_restart=_no_restart)
         try:
+            pid = await pool.call(("pid", None))
             with pytest.raises(ValueError, match="poisoned"):
                 await pool.call(("raise", "poisoned"))
             assert await pool.call(("echo", 1)) == 1
+            # The handler's own TimeoutError is not a timeout: no kill.
+            with pytest.raises(TimeoutError, match="gave up"):
+                await pool.call(("raise-timeout", "gave up"), timeout=5.0)
+            assert await pool.call(("pid", None)) == pid  # the slot survived
         finally:
             await pool.stop()
 
     asyncio.run(scenario())
+
+
+def test_async_crash_retires_only_that_slot():
+    restarts = []
+
+    async def scenario():
+        pool = AsyncSlotPool(_handle, 2, on_restart=lambda: restarts.append(1))
+        try:
+            bystander = asyncio.ensure_future(pool.call(("sleep", 0.5)))
+            await asyncio.sleep(0.05)
+            first = await pool.call(("pid", None))  # the idle second slot
+            with pytest.raises(SlotCrashed):
+                await pool.call(("crash-after", 0.0))
+            assert restarts == [1]
+            assert await pool.call(("pid", None)) != first  # forked afresh
+            assert not bystander.done()
+            assert await bystander == 0.5  # neither charged nor restarted
+            assert restarts == [1]
+        finally:
+            await pool.stop()
+
+    asyncio.run(scenario())
+    _assert_no_children()
 
 
 def test_async_timeout_kills_the_slot_and_fails_what_queued_behind():
@@ -207,4 +216,87 @@ def test_run_hardened_crash_spares_the_other_slot(tmp_path):
     assert metrics.counter("runner.attempts") == 3
     assert metrics.counter("runner.crashes") == 1
     assert metrics.counter("runner.pool_restarts") == 1
+    _assert_no_children()
+
+
+def _hang_or_log(arg):
+    log, seconds = arg
+    with open(log, "a") as handle:
+        handle.write("started\n")
+    time.sleep(seconds)
+    return seconds
+
+
+def test_run_hardened_timeout_charges_only_the_hung_unit(tmp_path):
+    metrics = MetricsRegistry()
+    logs = {name: str(tmp_path / name) for name in ("hung", "short", "slow")}
+    delivered = []
+    with pytest.raises(UnitExecutionError) as excinfo:
+        run_hardened(
+            _hang_or_log,
+            # The other slot runs "short" then "slow", which is mid-run
+            # when the hung unit's slot is killed at 1 s.
+            [
+                ("hung", "hung", (logs["hung"], 60.0)),
+                ("short", "short", (logs["short"], 0.5)),
+                ("slow", "slow", (logs["slow"], 0.7)),
+            ],
+            jobs=2,
+            policy=RetryPolicy(max_attempts=1, timeout_seconds=1.0),
+            metrics=metrics,
+            on_result=lambda key, item, value: delivered.append((key, value)),
+        )
+    assert (excinfo.value.key, excinfo.value.kind) == ("hung", "timeout")
+    assert excinfo.value.more_failures == ()
+    assert delivered == [("short", 0.5), ("slow", 0.7)]
+    assert Path(logs["slow"]).read_text() == "started\n"  # exactly once
+    assert metrics.counter("runner.timeouts") == 1
+    assert metrics.counter("runner.attempts") == 3
+    assert metrics.counter("runner.pool_restarts") == 1
+    _assert_no_children()
+
+
+def _count_then_fail_once(arg):
+    sentinel, seconds = arg
+    get_metrics().count("unit.work")
+    time.sleep(seconds)
+    if sentinel and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        raise RuntimeError("deliberate first-attempt failure")
+    return seconds
+
+
+def test_run_hardened_ships_no_metrics_from_a_failed_attempt(tmp_path):
+    metrics = MetricsRegistry()
+    results = run_hardened(
+        _count_then_fail_once,
+        [("flaky", "flaky", (str(tmp_path / "fired"), 0.0)), ("slow", "slow", ("", 0.5))],
+        jobs=2,
+        policy=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
+        metrics=metrics,
+    )
+    assert results == {"flaky": 0.0, "slow": 0.5}
+    # The retry lands on the flaky unit's own slot (the other is busy);
+    # what the failed attempt recorded there is not merged with it.
+    assert metrics.counter("unit.work") == 2
+    assert metrics.counter("runner.failures") == 1
+    _assert_no_children()
+
+
+def _raise_timeout(value):
+    raise TimeoutError(f"unit {value} gave up")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_hardened_counts_a_units_own_timeout_error_as_an_error(jobs):
+    metrics = MetricsRegistry()
+    with pytest.raises(UnitExecutionError) as excinfo:
+        run_hardened(
+            _raise_timeout, [("a", "a", 1), ("b", "b", 2)], jobs=jobs, metrics=metrics
+        )
+    assert excinfo.value.kind == "error"
+    assert isinstance(excinfo.value.cause, TimeoutError)
+    assert metrics.counter("runner.failures") == 2
+    assert metrics.counter("runner.timeouts") == 0
+    assert metrics.counter("runner.pool_restarts") == 0
     _assert_no_children()

@@ -407,6 +407,38 @@ class TestWorkerSlots:
 
         run(scenario())
 
+    def test_a_slot_does_not_hold_a_closed_connection_open(self, registry):
+        """A slot forked while two connections are open must not keep the
+        second one alive once the server closes it."""
+
+        async def scenario():
+            async with ModelServer(ServeConfig(workers=1)) as server:
+                first = await ServeClient.connect("127.0.0.1", server.port)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                try:
+                    writer.write(b'{"id": "1", "op": "ping"}\n')
+                    assert json.loads(await reader.readline())["ok"] is True
+                    # The first seal forks the slot with both connections open.
+                    await first.seal(b"a" * LINE, counter=1)
+                    writer.write(
+                        b'{"id":"big","op":"ping","params":{"pad":"'
+                        + b"x" * (STREAM_LIMIT_BYTES + 64)
+                        + b'"}}\n'
+                    )
+                    with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                        await writer.drain()
+                    document = json.loads(await reader.readline())
+                    assert document["error"]["code"] == "bad_request"
+                    assert "closing connection" in document["error"]["message"]
+                    assert await asyncio.wait_for(reader.readline(), 3.0) == b""
+                finally:
+                    writer.close()
+                    await first.close()
+
+        run(scenario())
+
     def test_no_worker_process_outlives_the_server(self, registry):
         async def scenario():
             async with serving(ServeConfig(workers=2)) as (_, client):

@@ -8,7 +8,7 @@ import pytest
 from repro.core.plan import LayerTraffic
 from repro.faults.chaos import CHAOS_ENV_VAR
 from repro.faults.runner import RetryPolicy, UnitExecutionError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sim import parallel
 from repro.sim.parallel import SimulationCache, run_units
 from repro.sim.runner import layer_unit
@@ -140,3 +140,21 @@ def test_hardened_results_match_plain_serial_run():
                 assert math.isnan(vb)
             else:
                 assert va == vb, f.name
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stage_timers_land_in_the_callers_registry(jobs):
+    units = [layer_unit(_traffic("alpha"), "Baseline"), layer_unit(_traffic("beta", 12), "SEAL-D")]
+    ambient = MetricsRegistry()
+    previous = set_metrics(ambient)
+    try:
+        metrics = MetricsRegistry()
+        run_units(units, jobs=jobs, cache=False, metrics=metrics)
+    finally:
+        set_metrics(previous)
+    assert metrics.counter("sim.cache.misses") == 2
+    assert metrics.timers["sim.lower"].count == metrics.counter("sim.cache.misses")
+    for stage in ("sim.lower", "sim.compile", "sim.kernel", "parallel.unit"):
+        assert metrics.timers[stage].count == 2, stage
+    assert ambient.timers == {} and ambient.counters == {}
+
