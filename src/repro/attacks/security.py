@@ -42,7 +42,7 @@ from ..nn.data import Dataset, SyntheticCIFAR10, train_adversary_split
 from ..nn.layers import Module, set_init_rng
 from ..nn.models import build_model
 from ..nn.optim import Adam
-from ..nn.training import evaluate, fit
+from ..nn.training import fit, predict_labels
 from .adversarial import IfgsmConfig
 from .substitute import (
     SubstituteConfig,
@@ -118,7 +118,13 @@ class SecurityOutcome:
 
 def _train_victim(
     model: Module, train_set: Dataset, test_set: Dataset, config: SecurityExperimentConfig
-) -> float:
+) -> np.ndarray:
+    """Fit the victim; return its predicted labels for ``test_set``.
+
+    Those labels give the victim's accuracy, the white-box substitute's
+    accuracy (that substitute *is* the victim) and every transfer test's
+    correctly-classified pool, so one experiment computes them once.
+    """
     optimizer = Adam(list(model.parameters()), lr=config.victim_lr)
     fit(
         model,
@@ -128,7 +134,12 @@ def _train_victim(
         batch_size=config.substitute.batch_size,
         seed=config.seed,
     )
-    return evaluate(model, test_set)
+    return predict_labels(model, test_set.images)
+
+
+def _accuracy(labels: np.ndarray, dataset: Dataset) -> float:
+    """Top-1 accuracy of predicted ``labels`` (as :func:`evaluate`)."""
+    return float((labels == dataset.labels).mean())
 
 
 def run_security_experiment(
@@ -150,7 +161,8 @@ def run_security_experiment(
 
     set_init_rng(config.seed)
     victim = builder()
-    victim_accuracy = _train_victim(victim, victim_set, test_set, config)
+    victim_labels = _train_victim(victim, victim_set, test_set, config)
+    victim_accuracy = _accuracy(victim_labels, test_set)
     if verbose:
         print(f"victim {config.model} accuracy: {victim_accuracy:.3f}")
 
@@ -171,7 +183,8 @@ def run_security_experiment(
             print(f"built {key} (queries={substitutes[key].queries})")
 
     accuracy = {
-        key: result.accuracy_on(test_set) for key, result in substitutes.items()
+        key: victim_accuracy if key == "white-box" else result.accuracy_on(test_set)
+        for key, result in substitutes.items()
     }
     if verbose:
         for key, value in accuracy.items():
@@ -190,6 +203,7 @@ def run_security_experiment(
                 substitute_kind=result.kind,
                 ratio=ratio,
                 seed=config.seed,
+                victim_labels=victim_labels,
             )
             if verbose:
                 print(f"transfer[{key}] = {transferability[key].transferability:.3f}")

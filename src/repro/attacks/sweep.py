@@ -18,9 +18,10 @@ experiment into independent :class:`SweepUnit` cells — one per
   rest (corrupt or stale checkpoints are rejected and recomputed).
 
 Every cell is a pure function of its unit: the victim is retrained
-deterministically from the experiment seeds (and memoised per process),
-and each substitute build re-seeds the parameter-initialisation RNG
-exactly as the serial experiment does (``seed + 1`` for black-box,
+deterministically from the experiment seeds (and memoised per process; a
+parallel run trains it once, before it forks its worker slots), and each
+substitute build re-seeds the parameter-initialisation RNG exactly as the
+serial experiment does (``seed + 1`` for black-box,
 ``seed + 2 + ratio_offset`` for SEAL cells).  Parallel and resumed runs
 are therefore **field-for-field identical** to a serial run — the golden
 suite in ``tests/attacks/test_sweep.py`` pins this, including equality
@@ -51,20 +52,27 @@ import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from ..core.keys import canonical_encode, content_key
 from ..core.seal import SealScheme
 from ..faults import RetryPolicy, run_hardened
 from ..faults.quarantine import quarantine_artifact
-from ..nn.data import SyntheticCIFAR10, train_adversary_split
-from ..nn.layers import set_init_rng
+from ..nn.data import Dataset, SyntheticCIFAR10, train_adversary_split
+from ..nn.layers import Module, set_init_rng
 from ..nn.models import build_model
 from ..obs.events import get_events
-from ..obs.metrics import MetricsRegistry, get_metrics
+from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from ..obs.trace import get_tracer
 from ..sim.parallel import resolve_jobs
-from .security import SecurityExperimentConfig, SecurityOutcome, _train_victim
+from .security import (
+    SecurityExperimentConfig,
+    SecurityOutcome,
+    _accuracy,
+    _train_victim,
+)
 from .substitute import (
     SubstituteResult,
     black_box_substitute,
@@ -281,16 +289,28 @@ def _victim_cache_key(experiment: SecurityExperimentConfig) -> str:
     )
 
 
+class _VictimContext(NamedTuple):
+    """What every cell of one experiment shares."""
+
+    model: Module
+    test_set: Dataset
+    adversary_seed: Dataset
+    labels: np.ndarray  # the victim's predictions on ``test_set``
+    accuracy: float
+
+
 #: Per-process memo of trained victims: rebuilding the victim is the only
 #: work cells of one experiment share, and retraining it is deterministic,
 #: so memoising is a pure optimisation (results are bit-identical either
-#: way; the golden suite covers both the warm and cold paths).
-_VICTIM_CACHE: dict[str, tuple] = {}
+#: way; the golden suite covers both the warm and cold paths).  Forked
+#: worker slots inherit it, which is why :func:`run_sweep` fills it before
+#: fanning out.
+_VICTIM_CACHE: dict[str, _VictimContext] = {}
 _VICTIM_CACHE_MAX = 4
 
 
-def _victim_context(experiment: SecurityExperimentConfig) -> tuple:
-    """(victim, test_set, adversary_seed, victim_accuracy), memoised."""
+def _victim_context(experiment: SecurityExperimentConfig) -> _VictimContext:
+    """The experiment's trained victim and its test-set labels, memoised."""
     metrics = get_metrics()
     key = _victim_cache_key(experiment)
     cached = _VICTIM_CACHE.get(key)
@@ -307,11 +327,13 @@ def _victim_context(experiment: SecurityExperimentConfig) -> tuple:
     set_init_rng(experiment.seed)
     victim = build_model(experiment.model, width_scale=experiment.width_scale)
     with metrics.timer("sweep.victim_fit"):
-        victim_accuracy = _train_victim(victim, victim_set, test_set, experiment)
+        labels = _train_victim(victim, victim_set, test_set, experiment)
     metrics.count("sweep.victims.trained")
     if len(_VICTIM_CACHE) >= _VICTIM_CACHE_MAX:
         _VICTIM_CACHE.clear()
-    context = (victim, test_set, adversary_seed, victim_accuracy)
+    context = _VictimContext(
+        victim, test_set, adversary_seed, labels, _accuracy(labels, test_set)
+    )
     _VICTIM_CACHE[key] = context
     return context
 
@@ -331,7 +353,8 @@ def run_cell(unit: SweepUnit) -> CellResult:
             "variant": unit.variant,
         },
     ):
-        victim, test_set, adversary_seed, victim_accuracy = _victim_context(experiment)
+        context = _victim_context(experiment)
+        victim, test_set = context.model, context.test_set
 
         def builder():
             return build_model(experiment.model, width_scale=experiment.width_scale)
@@ -341,7 +364,7 @@ def run_cell(unit: SweepUnit) -> CellResult:
         elif unit.adversary == "black-box":
             set_init_rng(unit.init_seed)
             substitute = black_box_substitute(
-                builder, victim, adversary_seed, experiment.substitute
+                builder, victim, context.adversary_seed, experiment.substitute
             )
         else:
             scheme = SealScheme(victim, unit.ratio)
@@ -350,11 +373,14 @@ def run_cell(unit: SweepUnit) -> CellResult:
                 builder,
                 victim,
                 scheme.snooped_view(),
-                adversary_seed,
+                context.adversary_seed,
                 replace(experiment.substitute, freeze_known=unit.variant == "frozen"),
             )
 
-        accuracy = substitute.accuracy_on(test_set)
+        if unit.adversary == "white-box":  # the substitute is the victim
+            accuracy = context.accuracy
+        else:
+            accuracy = substitute.accuracy_on(test_set)
         transferability = targeted = success_rate = None
         if unit.measure_transfer:
             transfer = measure_transferability(
@@ -366,6 +392,7 @@ def run_cell(unit: SweepUnit) -> CellResult:
                 substitute_kind=substitute.kind,
                 ratio=substitute.ratio,
                 seed=experiment.seed,
+                victim_labels=context.labels,
             )
             transferability = transfer.transferability
             targeted = transfer.targeted_transferability
@@ -378,7 +405,7 @@ def run_cell(unit: SweepUnit) -> CellResult:
         variant=unit.variant,
         ratio=unit.ratio,
         label=unit.label,
-        victim_accuracy=victim_accuracy,
+        victim_accuracy=context.accuracy,
         accuracy=accuracy,
         train_accuracy=substitute.train_accuracy,
         queries=substitute.queries,
@@ -574,6 +601,21 @@ def _timed_cell(unit: SweepUnit) -> tuple[CellResult, float]:
     return run_cell(unit), time.perf_counter() - start
 
 
+def _train_victims(units: Iterable[SweepUnit], metrics: MetricsRegistry) -> None:
+    """Fill the victim memo for the units' experiments in this process,
+    so that the worker slots forked next inherit it instead of each
+    training the same victim again (at most the memo's capacity)."""
+    experiments = {
+        _victim_cache_key(unit.experiment): unit.experiment for unit in units
+    }
+    previous = set_metrics(metrics)
+    try:
+        for experiment in list(experiments.values())[:_VICTIM_CACHE_MAX]:
+            _victim_context(experiment)
+    finally:
+        set_metrics(previous)
+
+
 def run_sweep(
     units: Iterable[SweepUnit] | SecurityExperimentConfig,
     *,
@@ -660,6 +702,8 @@ def run_sweep(
             "sweep.run_sweep",
             {"cells": len(units), "pending": len(todo), "jobs": jobs},
         ):
+            if jobs > 1 and len(todo) > 1:
+                _train_victims(pending.values(), metrics)
             run_hardened(
                 _timed_cell,
                 todo,

@@ -54,12 +54,15 @@ def measure_transferability(
     ratio: float | None = None,
     seed: int = 0,
     only_correctly_classified: bool = True,
+    victim_labels: np.ndarray | None = None,
 ) -> TransferResult:
     """Craft on ``substitute``, attack ``victim``, report success ratios.
 
     ``only_correctly_classified`` restricts the pool to images the victim
     classifies correctly (standard practice: an example the victim already
     gets wrong cannot demonstrate a *caused* misclassification).
+    ``victim_labels`` are the victim's predictions on ``dataset.images``
+    when the caller already has them; otherwise they are computed here.
     Transferability counts victim misclassification of the true label; the
     targeted variant (victim predicts the pre-assigned target) is also
     reported for completeness.
@@ -67,8 +70,9 @@ def measure_transferability(
     rng = np.random.default_rng(seed)
     images, labels = dataset.images, dataset.labels
     if only_correctly_classified:
-        victim_predictions = predict_labels(victim, images)
-        keep = victim_predictions == labels
+        if victim_labels is None:
+            victim_labels = predict_labels(victim, images)
+        keep = victim_labels == labels
         images, labels = images[keep], labels[keep]
     if len(images) == 0:
         raise ValueError("no usable images for the transfer test")

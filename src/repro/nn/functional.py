@@ -3,7 +3,13 @@
 Convolution is implemented by im2col + GEMM — the same lowering the paper's
 GPU workloads use (Section IV models CONV layers as tiled matrix
 multiplication), which keeps the performance model in :mod:`repro.sim`
-faithful to the functional model here.
+faithful to the functional model here.  The column matrix is
+channel-major, as in Caffe and cuDNN: :func:`im2col` builds a
+``(C·k·k, N·H_out·W_out)`` matrix and :func:`conv2d` computes kernel
+matrix × column matrix, the orientation :mod:`repro.sim.workloads`
+models.  A convolution's output has NCHW shape over ``(C, N, H, W)``
+memory; elementwise NumPy ops (batch norm, ReLU) keep that layout, so the
+next layer's :func:`im2col` and the backward pass read whole rows.
 """
 
 from __future__ import annotations
@@ -57,20 +63,31 @@ def _sliding_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Lower an image batch into the GEMM operand matrix.
+    """Lower an image batch into the GEMM operand matrix, channel-major.
 
-    Returns an array of shape ``(N * H_out * W_out, C * kernel * kernel)``
-    whose rows are flattened receptive fields.
+    Returns a contiguous array of shape ``(C * kernel * kernel,
+    N * H_out * W_out)``: row ``(c, ki, kj)`` holds input channel ``c``
+    shifted by kernel offset ``(ki, kj)`` at every output position, so
+    column ``p`` is the flattened receptive field of output position
+    ``p``.  It is filled with ``kernel²`` slice copies from a
+    zero-bordered ``(C, N, H + 2p, W + 2p)`` buffer, each with whole image
+    rows as its inner run.
     """
+    n, c, h, w = x.shape
+    h_out = conv_output_size(h, kernel, stride, padding)
+    w_out = conv_output_size(w, kernel, stride, padding)
+    source = x.transpose(1, 0, 2, 3)  # (C, N, H, W); a plain view for conv2d outputs
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = _sliding_windows(x, kernel, stride)
-    n, c, h_out, w_out, _, _ = windows.shape
-    # (N, H_out, W_out, C, k, k) -> rows are receptive fields.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * h_out * w_out, c * kernel * kernel
-    )
-    return np.ascontiguousarray(cols)
+        bordered = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        bordered[:, :, padding : padding + h, padding : padding + w] = source
+        source = bordered
+    cols = np.empty((c, kernel, kernel, n, h_out, w_out), dtype=x.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            cols[:, ki, kj] = source[
+                :, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride
+            ]
+    return cols.reshape(c * kernel * kernel, n * h_out * w_out)
 
 
 def col2im(
@@ -80,22 +97,25 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add the inverse of :func:`im2col` (used by conv backward)."""
+    """Scatter-add the inverse of :func:`im2col` (used by conv backward).
+
+    ``cols`` has :func:`im2col`'s ``(C * kernel * kernel, N * H_out *
+    W_out)`` layout; each kernel offset's row block is added back as one
+    contiguous slice, in the same ``(ki, kj)`` order.  The result has
+    shape ``x_shape`` (NCHW) in channel-major memory.
+    """
     n, c, h, w = x_shape
     h_pad, w_pad = h + 2 * padding, w + 2 * padding
     h_out = (h_pad - kernel) // stride + 1
     w_out = (w_pad - kernel) // stride + 1
-    x_pad = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, h_out, w_out, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    # cols6: (N, C, k, k, H_out, W_out); add each kernel offset in bulk.
+    cols6 = cols.reshape(c, kernel, kernel, n, h_out, w_out)
+    x_pad = np.zeros((c, n, h_pad, w_pad), dtype=cols.dtype)
     for ki in range(kernel):
         i_max = ki + stride * h_out
         for kj in range(kernel):
             j_max = kj + stride * w_out
-            x_pad[:, :, ki:i_max:stride, kj:j_max:stride] += cols6[:, :, ki, kj]
-    if padding:
-        return x_pad[:, :, padding:-padding, padding:-padding]
-    return x_pad
+            x_pad[:, :, ki:i_max:stride, kj:j_max:stride] += cols6[:, ki, kj]
+    return x_pad[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
 
 
 def conv2d(
@@ -105,11 +125,13 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D convolution, NCHW layout, square kernels.
+    """2-D convolution, NCHW shape, square kernels.
 
     ``weight`` has shape ``(out_channels, in_channels, k, k)`` — in the
     paper's terminology each ``weight[:, j]`` slice is *kernel row j* (the
-    row of the kernel matrix corresponding to input channel ``j``).
+    row of the kernel matrix corresponding to input channel ``j``).  The
+    output is the kernel matrix times :func:`im2col`'s column matrix,
+    returned with NCHW shape over ``(C_out, N, H_out, W_out)`` memory.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, kernel, kernel2 = weight.shape
@@ -120,24 +142,25 @@ def conv2d(
     h_out = conv_output_size(h, kernel, stride, padding)
     w_out = conv_output_size(w, kernel, stride, padding)
 
-    cols = im2col(x.data, kernel, stride, padding)  # (N*H_out*W_out, C_in*k*k)
+    cols = im2col(x.data, kernel, stride, padding)  # (C_in*k*k, N*H_out*W_out)
     w_mat = weight.data.reshape(c_out, -1)  # (C_out, C_in*k*k)
-    out_mat = cols @ w_mat.T  # (N*H_out*W_out, C_out)
+    out_mat = w_mat @ cols  # (C_out, N*H_out*W_out)
     if bias is not None:
-        out_mat = out_mat + bias.data
-    out_data = out_mat.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+        out_mat = out_mat + bias.data[:, None]
+    out_data = out_mat.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(grad: np.ndarray) -> None:
-        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        # A plain view when grad is channel-major (it is for every op
+        # whose output keeps conv2d's memory layout).
+        grad_t = grad.transpose(1, 0, 2, 3).reshape(c_out, -1)
         if weight.requires_grad:
-            grad_w = (grad_mat.T @ cols).reshape(weight.shape)
-            Tensor._accumulate(weight, grad_w)
+            Tensor._accumulate(weight, (grad_t @ cols.T).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            Tensor._accumulate(bias, grad_mat.sum(axis=0))
+            Tensor._accumulate(bias, grad_t.sum(axis=1))
         if x.requires_grad:
-            grad_cols = grad_mat @ w_mat
+            grad_cols = w_mat.T @ grad_t
             Tensor._accumulate(x, col2im(grad_cols, x.shape, kernel, stride, padding))
 
     return Tensor._make(out_data, parents, backward)
@@ -167,9 +190,12 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         grad_x = np.zeros_like(x.data)
         ki, kj = np.divmod(arg, kernel)
         n_idx, c_idx, i_idx, j_idx = np.indices(arg.shape)
-        rows = i_idx * stride + ki
-        cols_ = j_idx * stride + kj
-        np.add.at(grad_x, (n_idx, c_idx, rows, cols_), grad)
+        index = (n_idx, c_idx, i_idx * stride + ki, j_idx * stride + kj)
+        if stride >= kernel:
+            # Disjoint windows: each input cell takes at most one value.
+            grad_x[index] = grad
+        else:
+            np.add.at(grad_x, index, grad)
         Tensor._accumulate(x, grad_x)
 
     return Tensor._make(out_data, (x,), backward)

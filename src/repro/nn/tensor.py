@@ -66,7 +66,9 @@ class Tensor:
     ----------
     data:
         Array-like; stored as ``float64`` by default for gradient-check
-        fidelity (``float32`` works too and is what training uses).
+        fidelity.  A ``float32`` array stays ``float32``; training feeds
+        images that way, but model parameters are ``float64``, so every
+        activation past the first layer is ``float64``.
     requires_grad:
         Whether gradients should flow into this tensor.
     """

@@ -16,7 +16,7 @@ from repro.nn.layers import (
     set_init_rng,
 )
 from repro.nn.optim import Adam
-from repro.nn.training import fit
+from repro.nn.training import fit, predict_labels
 
 
 def make_model(seed):
@@ -98,6 +98,12 @@ class TestMeasurement:
             other, victim, test, num_examples=20, config=ATTACK, seed=5
         )
         assert a.transferability == b.transferability
+        # Passing the victim's test-set labels in skips its forward pass only.
+        c = measure_transferability(
+            other, victim, test, num_examples=20, config=ATTACK, seed=5,
+            victim_labels=predict_labels(victim, test.images),
+        )
+        assert c == a
 
     def test_untargeted_config(self, setting):
         victim, other, test = setting

@@ -30,16 +30,18 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0):
 
 
 class TestIm2col:
+    # im2col is channel-major: column p of the matrix is the receptive
+    # field of output position p, so ``cols.T`` has one row per field.
     def test_shapes(self):
         x = np.arange(2 * 3 * 5 * 5, dtype=np.float64).reshape(2, 3, 5, 5)
         cols = F.im2col(x, kernel=3, stride=1, padding=0)
-        assert cols.shape == (2 * 3 * 3, 3 * 9)
+        assert cols.T.shape == (2 * 3 * 3, 3 * 9)
 
     def test_content_matches_receptive_fields(self):
         x = np.arange(1 * 1 * 4 * 4, dtype=np.float64).reshape(1, 1, 4, 4)
         cols = F.im2col(x, kernel=2, stride=2, padding=0)
-        np.testing.assert_allclose(cols[0], [0, 1, 4, 5])
-        np.testing.assert_allclose(cols[3], [10, 11, 14, 15])
+        np.testing.assert_allclose(cols.T[0], [0, 1, 4, 5])
+        np.testing.assert_allclose(cols.T[3], [10, 11, 14, 15])
 
     def test_col2im_inverts_for_nonoverlapping(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
@@ -153,6 +155,34 @@ class TestPooling:
         x = rng.normal(size=(2, 3, 6, 6))
         out = F.max_pool2d(Tensor(x), kernel=3, stride=3)
         assert out.shape == (2, 3, 2, 2)
+
+    @pytest.mark.parametrize(
+        "kernel,stride",
+        [(2, 2), (3, 3), (2, 3), (3, 2), (2, 1), (3, 1)],
+        ids=["2/2", "3/3", "2/3", "3/2-overlap", "2/1-overlap", "3/1-overlap"],
+    )
+    def test_max_pool_gradient_equals_scatter_add(self, kernel, stride):
+        """Disjoint windows assign the gradient, overlapping ones add it
+        with ``np.add.at``; both must equal the scatter-add exactly."""
+        rng = np.random.default_rng(kernel * 10 + stride)
+        # Integer values make ties (argmax takes the first) and shared maxima.
+        x = rng.integers(0, 4, size=(3, 2, 9, 9)).astype(np.float64)
+        t = Tensor(x, requires_grad=True)
+        out = F.max_pool2d(t, kernel, stride)
+        grad = rng.normal(size=out.shape)
+        out.backward(grad)
+
+        windows = F._sliding_windows(x, kernel, stride)
+        arg = windows.reshape(*windows.shape[:4], -1).argmax(axis=-1)
+        ki, kj = np.divmod(arg, kernel)
+        n_idx, c_idx, i_idx, j_idx = np.indices(arg.shape)
+        expected = np.zeros_like(x)
+        np.add.at(
+            expected,
+            (n_idx, c_idx, i_idx * stride + ki, j_idx * stride + kj),
+            grad,
+        )
+        assert np.array_equal(t.grad, expected)
 
     def test_avg_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
