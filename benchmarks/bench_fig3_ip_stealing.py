@@ -16,6 +16,8 @@ substrate: width-0.125 models on synthetic CIFAR-10; set
 ``SEAL_BENCH_SCALE=full`` for the larger recorded configuration.
 """
 
+from repro.attacks.sweep import seal_key
+
 RATIOS_QUICK = (0.8, 0.5, 0.2)
 RATIOS_FULL = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
@@ -27,26 +29,26 @@ def test_fig3_ip_stealing(benchmark, record_report, record_metrics, security_swe
         "fig3_ip_stealing",
         payload={
             "accuracy": {
-                name: outcome.accuracy
-                for name, outcome in result.outcomes.items()
+                name: result.accuracy_dict(name) for name in result.models()
             }
         },
     )
 
     high_ratio = max(RATIOS_QUICK)
     low_ratio = min(RATIOS_QUICK)
-    for model_name, outcome in result.outcomes.items():
-        white = outcome.accuracy["white-box"]
-        black = outcome.accuracy["black-box"]
+    for model_name in result.models():
+        accuracy = result.accuracy_dict(model_name)
+        white = accuracy["white-box"]
+        black = accuracy["black-box"]
         # White-box is the victim itself: it must dominate everything.
-        assert white == max(outcome.accuracy.values()), model_name
+        assert white == max(accuracy.values()), model_name
         # Black-box must learn something but stay clearly below white-box.
         assert black < white - 0.1, model_name
         assert black > 0.15, model_name  # above chance (0.10)
         # High-ratio SEAL must not leak meaningfully beyond black-box.
-        high = outcome.accuracy[outcome.seal_key(high_ratio)]
+        high = accuracy[seal_key(high_ratio)]
         assert high <= black + 0.15, model_name
         # The low-ratio leak: knowing most weights must help the adversary
         # at least as much as knowing few (Fig. 3's downward trend).
-        low = outcome.accuracy[outcome.seal_key(low_ratio)]
+        low = accuracy[seal_key(low_ratio)]
         assert low >= high - 0.05, model_name

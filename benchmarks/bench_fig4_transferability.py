@@ -8,15 +8,19 @@ Paper shapes: white-box transfers near-perfectly; black-box sits low
 encryption ratio reaches ~50%, and rises sharply below ~40%.
 """
 
+from repro.attacks.sweep import seal_key
+
+
 def test_fig4_transferability(benchmark, record_report, record_metrics, security_sweep):
     result = benchmark.pedantic(lambda: security_sweep, iterations=1, rounds=1)
 
     lines = []
-    for model_name, outcome in result.outcomes.items():
-        for key, transfer in outcome.transferability.items():
+    for model_name in result.models():
+        for key in result.labels():
+            cell = result.cell(model_name, key)
             lines.append(
-                f"{model_name:10s} {key:12s} transfer={transfer.transferability:.3f} "
-                f"(substitute success {transfer.substitute_success_rate:.2f})"
+                f"{model_name:10s} {key:12s} transfer={cell.transferability:.3f} "
+                f"(substitute success {cell.substitute_success_rate:.2f})"
             )
     record_report("fig4_transferability", "\n".join(lines))
     record_metrics(
@@ -24,17 +28,17 @@ def test_fig4_transferability(benchmark, record_report, record_metrics, security
         payload={
             "transferability": {
                 name: {
-                    key: transfer.transferability
-                    for key, transfer in outcome.transferability.items()
+                    key: result.cell(name, key).transferability
+                    for key in result.labels()
                 }
-                for name, outcome in result.outcomes.items()
+                for name in result.models()
             }
         },
     )
 
-    for model_name, outcome in result.outcomes.items():
-        white = outcome.transferability["white-box"].transferability
-        black = outcome.transferability["black-box"].transferability
+    for model_name in result.models():
+        white = result.cell(model_name, "white-box").transferability
+        black = result.cell(model_name, "black-box").transferability
         # White-box adversarial examples transfer essentially perfectly
         # (they are crafted on the victim itself).
         assert white > 0.9, model_name
@@ -44,10 +48,10 @@ def test_fig4_transferability(benchmark, record_report, record_metrics, security
         # better than black-box.
         ratios = sorted(
             float(k.split("@")[1])
-            for k in outcome.transferability
+            for k in result.labels()
             if k.startswith("seal@")
         )
-        high_key = outcome.seal_key(ratios[-1])
+        high_key = seal_key(ratios[-1])
         assert (
-            outcome.transferability[high_key].transferability <= black + 0.2
+            result.cell(model_name, high_key).transferability <= black + 0.2
         ), model_name

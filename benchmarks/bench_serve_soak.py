@@ -18,8 +18,10 @@ every retried ``seal`` is a byte-identical pinned-counter replay
 (``serve.seal.replays``, never ``serve.seal.pad_reuse``).  Alongside the
 availability numbers the artefact records client-observed p50/p95/p99
 (which include retry/backoff time) next to the server-side
-``serve.request`` quantiles, extending the latency floor recorded by
-``bench_serve_latency.py`` to a faulty network.
+``serve.request`` quantiles and the client's own retry-pause and
+(re)connect time (``serve.client.backoff`` / ``serve.client.connect``),
+extending the latency floor recorded by ``bench_serve_latency.py`` to a
+faulty network.
 """
 
 import asyncio
@@ -155,6 +157,11 @@ def _run_soak(n_requests: int, sentinel_dir: str, monkeypatch) -> dict:
 
     snapshot = registry.snapshot()
     counters = snapshot["counters"]
+    timers = snapshot["timers"]
+
+    def timer_ms(name: str, field: str) -> float:
+        return timers[name][field] * 1e3 if name in timers else 0.0
+
     ok = sum(1 for o in outcomes if o["ok"])
     failed = [o for o in outcomes if not o["ok"]]
     latencies = [o["seconds"] for o in outcomes]
@@ -181,6 +188,12 @@ def _run_soak(n_requests: int, sentinel_dir: str, monkeypatch) -> dict:
             "client_retries": counters.get("serve.client.retries", 0),
             "client_reconnects": counters.get("serve.client.reconnects", 0),
             "client_giveups": counters.get("serve.client.giveups", 0),
+            # Where client time goes outside the server: retry pauses and
+            # (re)dials, as totals and per-event p99.
+            "client_backoff_total_ms": timer_ms("serve.client.backoff", "total_seconds"),
+            "client_backoff_p99_ms": timer_ms("serve.client.backoff", "p99_seconds"),
+            "client_connect_total_ms": timer_ms("serve.client.connect", "total_seconds"),
+            "client_connect_p99_ms": timer_ms("serve.client.connect", "p99_seconds"),
             "seal_replays": counters.get("serve.seal.replays", 0),
             "pad_reuse": counters.get("serve.seal.pad_reuse", 0),
             "pool_restarts": counters.get("serve.pool_restarts", 0),
@@ -226,6 +239,9 @@ def test_serve_soak(
                  f" / {faults['write_stalls']}"),
                 ("client retries / reconnects",
                  f"{resilience['client_retries']} / {resilience['client_reconnects']}"),
+                ("client backoff / connect total ms",
+                 f"{resilience['client_backoff_total_ms']:.2f}"
+                 f" / {resilience['client_connect_total_ms']:.2f}"),
                 ("seal replays (benign) / pad reuse",
                  f"{resilience['seal_replays']} / {resilience['pad_reuse']}"),
             ],

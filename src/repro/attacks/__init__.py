@@ -1,12 +1,13 @@
 """Model-extraction and adversarial-attack substrate (Sections III-B).
 
 Three adversary strengths — white-box, black-box, and SEAL(r) — are built
-by :mod:`repro.attacks.substitute`; :mod:`repro.attacks.security` runs one
-serial Figure-3/4 experiment, and :mod:`repro.attacks.sweep` runs the same
-cells checkpointed and in parallel (see ``docs/threat-model.md``).
+by :mod:`repro.attacks.substitute`; :mod:`repro.attacks.security`
+configures one Figure-3/4 experiment and trains its victim, and
+:func:`repro.attacks.sweep.run_sweep` runs its cells checkpointed and in
+parallel — the only Figure-3/4 driver (see ``docs/threat-model.md``).
 
->>> from repro.attacks import SecurityOutcome, SubstituteConfig
->>> SecurityOutcome.seal_key(0.5)
+>>> from repro.attacks import SubstituteConfig, seal_key
+>>> seal_key(0.5)
 'seal@0.50'
 >>> SubstituteConfig().freeze_known        # the paper's exact adversary
 True
@@ -14,12 +15,7 @@ True
 
 from .adversarial import AdversarialBatch, IfgsmConfig, craft_adversarial_batch, ifgsm
 from .augmentation import AugmentationResult, jacobian_augment, jacobian_step
-from .security import (
-    PAPER_RATIOS,
-    SecurityExperimentConfig,
-    SecurityOutcome,
-    run_security_experiment,
-)
+from .security import PAPER_RATIOS, SecurityExperimentConfig
 from .substitute import (
     SubstituteConfig,
     SubstituteResult,
@@ -38,6 +34,7 @@ from .sweep import (
     plan_units,
     run_cell,
     run_sweep,
+    seal_key,
 )
 from .transferability import TransferResult, measure_transferability
 
@@ -51,8 +48,6 @@ __all__ = [
     "jacobian_step",
     "PAPER_RATIOS",
     "SecurityExperimentConfig",
-    "SecurityOutcome",
-    "run_security_experiment",
     "SubstituteConfig",
     "SubstituteResult",
     "black_box_substitute",
@@ -68,6 +63,7 @@ __all__ = [
     "plan_units",
     "run_cell",
     "run_sweep",
+    "seal_key",
     "TransferResult",
     "measure_transferability",
 ]

@@ -1,4 +1,4 @@
-"""End-to-end security experiments: Figures 3 and 4 of the paper.
+"""Configuration and victim training for the Figure-3/4 security study.
 
 One experiment instance trains a victim on its private 90% split, builds
 the adversary's substitutes (white-box, black-box, SEAL at a sweep of
@@ -9,26 +9,22 @@ goals:
 * **Adversarial attacks** (Figure 4): transferability of I-FGSM examples
   crafted on each substitute.
 
-Substitute training is the expensive part, so the harness shares the
-trained substitutes between both measurements.
+This module holds what every cell of such an experiment shares: the
+:class:`SecurityExperimentConfig` and the victim fit.  The experiment
+itself runs as independent, checkpointable cells through
+:func:`repro.attacks.sweep.run_sweep` (``python -m repro
+security-sweep``); the serial driver it replaced is frozen as the test
+oracle ``tests/attacks/reference_security.py``.
 
 Scaled-down defaults (width-scaled models, synthetic CIFAR-10, small query
 budgets) keep a full three-model sweep tractable in pure numpy; every knob
-is exposed for larger runs.  For checkpointed, parallel and resumable runs
-of the same cells, use :mod:`repro.attacks.sweep` (``python -m repro
-security-sweep``).
+is exposed for larger runs.
 
->>> outcome = SecurityOutcome(
-...     model="vgg16",
-...     victim_accuracy=0.94,
-...     accuracy={"white-box": 0.94, "black-box": 0.49,
-...               "seal@0.50": 0.42, "seal@0.20": 0.61},
-...     transferability={},
-... )
->>> [label for label, _ in outcome.accuracy_series()]
-['white-box', 'seal@0.50', 'seal@0.20', 'black-box']
->>> SecurityOutcome.seal_key(0.8)
-'seal@0.80'
+>>> config = SecurityExperimentConfig(model="mlp", ratios=(0.5, 0.2))
+>>> config.substitute.freeze_known          # the strongest (init-only) adversary
+False
+>>> set(config.ratios) <= set(PAPER_RATIOS)
+True
 """
 
 from __future__ import annotations
@@ -37,23 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.seal import SealScheme
-from ..nn.data import Dataset, SyntheticCIFAR10, train_adversary_split
-from ..nn.layers import Module, set_init_rng
-from ..nn.models import build_model
+from ..nn.data import Dataset
+from ..nn.layers import Module
 from ..nn.optim import Adam
 from ..nn.training import fit, predict_labels
 from .adversarial import IfgsmConfig
-from .substitute import (
-    SubstituteConfig,
-    SubstituteResult,
-    black_box_substitute,
-    seal_substitute,
-    white_box_substitute,
-)
-from .transferability import TransferResult, measure_transferability
+from .substitute import SubstituteConfig
 
-__all__ = ["SecurityExperimentConfig", "SecurityOutcome", "run_security_experiment"]
+__all__ = ["PAPER_RATIOS", "SecurityExperimentConfig"]
 
 #: The ratio sweep of Figures 3 and 4 (90% … 10%).
 PAPER_RATIOS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
@@ -88,34 +75,6 @@ class SecurityExperimentConfig:
     seed: int = 0
 
 
-@dataclass
-class SecurityOutcome:
-    """Results of one experiment (accuracy = Fig. 3, transfer = Fig. 4)."""
-
-    model: str
-    victim_accuracy: float
-    accuracy: dict[str, float]  # "white-box" | "black-box" | "seal@0.50" …
-    transferability: dict[str, TransferResult]
-    substitutes: dict[str, SubstituteResult] = field(repr=False, default_factory=dict)
-
-    @staticmethod
-    def seal_key(ratio: float) -> str:
-        return f"seal@{ratio:.2f}"
-
-    def accuracy_series(self) -> list[tuple[str, float]]:
-        """(label, accuracy) rows in the paper's figure order."""
-        rows = [("white-box", self.accuracy["white-box"])]
-        rows += [
-            (key, value)
-            for key, value in sorted(
-                ((k, v) for k, v in self.accuracy.items() if k.startswith("seal@")),
-                key=lambda item: -float(item[0].split("@")[1]),
-            )
-        ]
-        rows.append(("black-box", self.accuracy["black-box"]))
-        return rows
-
-
 def _train_victim(
     model: Module, train_set: Dataset, test_set: Dataset, config: SecurityExperimentConfig
 ) -> np.ndarray:
@@ -140,78 +99,3 @@ def _train_victim(
 def _accuracy(labels: np.ndarray, dataset: Dataset) -> float:
     """Top-1 accuracy of predicted ``labels`` (as :func:`evaluate`)."""
     return float((labels == dataset.labels).mean())
-
-
-def run_security_experiment(
-    config: SecurityExperimentConfig = SecurityExperimentConfig(),
-    *,
-    measure_transfer: bool = True,
-    verbose: bool = False,
-) -> SecurityOutcome:
-    """Run one full Figure-3 (+ optionally Figure-4) experiment."""
-
-    def builder() -> Module:
-        return build_model(config.model, width_scale=config.width_scale)
-
-    generator = SyntheticCIFAR10(seed=config.dataset_seed)
-    train_set, test_set = generator.standard_splits(
-        train_size=config.train_size, test_size=config.test_size
-    )
-    victim_set, adversary_seed = train_adversary_split(train_set, seed=config.seed)
-
-    set_init_rng(config.seed)
-    victim = builder()
-    victim_labels = _train_victim(victim, victim_set, test_set, config)
-    victim_accuracy = _accuracy(victim_labels, test_set)
-    if verbose:
-        print(f"victim {config.model} accuracy: {victim_accuracy:.3f}")
-
-    substitutes: dict[str, SubstituteResult] = {}
-    substitutes["white-box"] = white_box_substitute(victim)
-    set_init_rng(config.seed + 1)
-    substitutes["black-box"] = black_box_substitute(
-        builder, victim, adversary_seed, config.substitute
-    )
-    for offset, ratio in enumerate(config.ratios):
-        scheme = SealScheme(victim, ratio)
-        set_init_rng(config.seed + 2 + offset)
-        substitutes[SecurityOutcome.seal_key(ratio)] = seal_substitute(
-            builder, victim, scheme.snooped_view(), adversary_seed, config.substitute
-        )
-        if verbose:
-            key = SecurityOutcome.seal_key(ratio)
-            print(f"built {key} (queries={substitutes[key].queries})")
-
-    accuracy = {
-        key: victim_accuracy if key == "white-box" else result.accuracy_on(test_set)
-        for key, result in substitutes.items()
-    }
-    if verbose:
-        for key, value in accuracy.items():
-            print(f"accuracy[{key}] = {value:.3f}")
-
-    transferability: dict[str, TransferResult] = {}
-    if measure_transfer:
-        for key, result in substitutes.items():
-            ratio = result.ratio
-            transferability[key] = measure_transferability(
-                result.model,
-                victim,
-                test_set,
-                num_examples=config.transfer_examples,
-                config=config.ifgsm,
-                substitute_kind=result.kind,
-                ratio=ratio,
-                seed=config.seed,
-                victim_labels=victim_labels,
-            )
-            if verbose:
-                print(f"transfer[{key}] = {transferability[key].transferability:.3f}")
-
-    return SecurityOutcome(
-        model=config.model,
-        victim_accuracy=victim_accuracy,
-        accuracy=accuracy,
-        transferability=transferability,
-        substitutes=substitutes,
-    )

@@ -1,9 +1,10 @@
 """Checkpointed, parallel security-sweep pipeline (Figures 3 and 4).
 
-:func:`repro.attacks.security.run_security_experiment` runs one model's
-whole ratio sweep serially in one process; this module decomposes the same
-experiment into independent :class:`SweepUnit` cells — one per
-``model × encryption-ratio × adversary-variant`` — and runs them through
+The only driver of the paper's security study: one experiment
+(:class:`~repro.attacks.security.SecurityExperimentConfig`) is decomposed
+into independent :class:`SweepUnit` cells — one per
+``model × encryption-ratio × adversary-variant`` — which
+:func:`run_sweep` runs through
 
 * a **content-addressed result key** (:func:`cell_key`, built on
   :mod:`repro.core.keys`) covering the experiment configuration, seeds,
@@ -20,12 +21,15 @@ experiment into independent :class:`SweepUnit` cells — one per
 Every cell is a pure function of its unit: the victim is retrained
 deterministically from the experiment seeds (and memoised per process; a
 parallel run trains it once, before it forks its worker slots), and each
-substitute build re-seeds the parameter-initialisation RNG exactly as the
-serial experiment does (``seed + 1`` for black-box,
+substitute build re-seeds the parameter-initialisation RNG as one serial
+pass over the plan would (``seed + 1`` for black-box,
 ``seed + 2 + ratio_offset`` for SEAL cells).  Parallel and resumed runs
 are therefore **field-for-field identical** to a serial run — the golden
 suite in ``tests/attacks/test_sweep.py`` pins this, including equality
-with :func:`~repro.attacks.security.run_security_experiment` itself.
+with the frozen serial experiment ``tests/attacks/reference_security.py``.
+:meth:`SweepResult.report` renders the Fig 3/4 tables
+(:func:`repro.eval.experiments.fig3_fig4_security` returns a
+:class:`SweepResult` too).
 
 See ``docs/threat-model.md`` for the adversary variants and
 ``docs/metrics.md`` for the counters/timers a sweep emits.
@@ -67,12 +71,7 @@ from ..obs.events import get_events
 from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from ..obs.trace import get_tracer
 from ..sim.parallel import resolve_jobs
-from .security import (
-    SecurityExperimentConfig,
-    SecurityOutcome,
-    _accuracy,
-    _train_victim,
-)
+from .security import SecurityExperimentConfig, _accuracy, _train_victim
 from .substitute import (
     SubstituteResult,
     black_box_substitute,
@@ -94,6 +93,7 @@ __all__ = [
     "plan_units",
     "run_cell",
     "run_sweep",
+    "seal_key",
 ]
 
 #: Schema tag written into every checkpoint document.
@@ -108,6 +108,11 @@ ADVERSARIES = ("white-box", "black-box", "seal")
 VARIANTS = ("init-only", "frozen")
 
 
+def seal_key(ratio: float) -> str:
+    """Row label of a SEAL cell at encryption ``ratio`` (``seal@0.50``)."""
+    return f"seal@{ratio:.2f}"
+
+
 # ----------------------------------------------------------------------
 # Units and keys
 # ----------------------------------------------------------------------
@@ -117,8 +122,9 @@ class SweepUnit:
 
     ``ratio_offset`` is the ratio's position in the experiment's original
     sweep grid; it seeds the substitute's parameter initialisation exactly
-    as the serial experiment does, which is what makes a cell-by-cell run
-    bit-identical to :func:`~repro.attacks.security.run_security_experiment`.
+    as one serial pass over the plan would, which is what makes a
+    cell-by-cell run bit-identical to a serial one (and to the frozen
+    serial experiment the golden suite checks against).
     """
 
     experiment: SecurityExperimentConfig
@@ -144,7 +150,7 @@ class SweepUnit:
         """Row label in the paper's figures (``seal@0.50`` style)."""
         if self.adversary == "seal":
             assert self.ratio is not None
-            return SecurityOutcome.seal_key(self.ratio)
+            return seal_key(self.ratio)
         return self.adversary
 
     @property
@@ -330,7 +336,9 @@ def _victim_context(experiment: SecurityExperimentConfig) -> _VictimContext:
         labels = _train_victim(victim, victim_set, test_set, experiment)
     metrics.count("sweep.victims.trained")
     if len(_VICTIM_CACHE) >= _VICTIM_CACHE_MAX:
-        _VICTIM_CACHE.clear()
+        # Evict the oldest entry only: clearing the memo here would drop
+        # a victim _train_victims just trained for the slots it forks.
+        del _VICTIM_CACHE[next(iter(_VICTIM_CACHE))]
     context = _VictimContext(
         victim, test_set, adversary_seed, labels, _accuracy(labels, test_set)
     )
@@ -340,7 +348,7 @@ def _victim_context(experiment: SecurityExperimentConfig) -> _VictimContext:
 
 def run_cell(unit: SweepUnit) -> CellResult:
     """Compute one cell cold: train/reuse the victim, build the cell's
-    substitute with the serial experiment's exact seeding, evaluate."""
+    substitute with its unit's init seed, evaluate."""
     experiment = unit.experiment
     metrics = get_metrics()
     tracer = get_tracer()
@@ -526,7 +534,7 @@ class SweepResult:
             reverse=True,
         )
         labels = ["white-box"]
-        labels += [SecurityOutcome.seal_key(ratio) for ratio in ratios]
+        labels += [seal_key(ratio) for ratio in ratios]
         labels.append("black-box")
         return [
             label
@@ -546,8 +554,7 @@ class SweepResult:
         return None
 
     def accuracy_dict(self, model: str, variant: str | None = None) -> dict[str, float]:
-        """``{label: accuracy}`` for one model/variant — the same mapping
-        :class:`~repro.attacks.security.SecurityOutcome` carries."""
+        """``{label: accuracy}`` for one model/variant, in figure order."""
         out: dict[str, float] = {}
         for label in self.labels():
             cell = self.cell(model, label, variant)

@@ -162,7 +162,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.number not in dispatch:
         print(
             f"figure {args.number} not supported here "
-            "(figures 3-4 run via benchmarks/bench_fig3_ip_stealing.py)",
+            "(figures 3-4 run via `repro security-sweep`)",
             file=sys.stderr,
         )
         return 2

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..attacks.security import (
-    PAPER_RATIOS,
-    SecurityExperimentConfig,
-    SecurityOutcome,
-    run_security_experiment,
-)
+from ..attacks.security import PAPER_RATIOS, SecurityExperimentConfig
 from ..attacks.substitute import SubstituteConfig
+from ..attacks.sweep import SweepResult, plan_units, run_sweep
 from ..core.plan import ModelEncryptionPlan
 from ..crypto.engine import ENGINE_SURVEY
 from ..nn.models import build_model
@@ -151,58 +147,6 @@ def fig1_straightforward(
 # ----------------------------------------------------------------------
 # Figures 3 and 4
 # ----------------------------------------------------------------------
-@dataclass
-class SecuritySweepResult:
-    """Fig 3 (substitute accuracy) + Fig 4 (transferability), all models."""
-
-    outcomes: dict[str, SecurityOutcome]
-
-    def accuracy_rows(self) -> list[list[object]]:
-        labels = ["white-box"] + [
-            SecurityOutcome.seal_key(r) for r in PAPER_RATIOS
-        ] + ["black-box"]
-        rows: list[list[object]] = []
-        for label in labels:
-            row: list[object] = [label]
-            for outcome in self.outcomes.values():
-                row.append(outcome.accuracy.get(label, float("nan")))
-            rows.append(row)
-        return rows
-
-    def transfer_rows(self) -> list[list[object]]:
-        labels = ["white-box"] + [
-            SecurityOutcome.seal_key(r) for r in PAPER_RATIOS
-        ] + ["black-box"]
-        rows: list[list[object]] = []
-        for label in labels:
-            row: list[object] = [label]
-            for outcome in self.outcomes.values():
-                result = outcome.transferability.get(label)
-                row.append(result.transferability if result else float("nan"))
-            rows.append(row)
-        return rows
-
-    def report(self) -> str:
-        headers = ["substitute"] + [
-            _PRETTY.get(name, name) for name in self.outcomes
-        ]
-        victim = ", ".join(
-            f"{_PRETTY.get(name, name)}={o.victim_accuracy:.3f}"
-            for name, o in self.outcomes.items()
-        )
-        parts = [
-            f"victim accuracy: {victim}",
-            "Fig 3: inference accuracy of substitute models",
-            ascii_table(headers, self.accuracy_rows()),
-        ]
-        if any(o.transferability for o in self.outcomes.values()):
-            parts += [
-                "Fig 4: transferability of adversarial examples",
-                ascii_table(headers, self.transfer_rows()),
-            ]
-        return "\n\n".join(parts)
-
-
 def fig3_fig4_security(
     models: tuple[str, ...] = MODEL_NAMES,
     *,
@@ -214,14 +158,17 @@ def fig3_fig4_security(
     substitute: SubstituteConfig | None = None,
     transfer_examples: int = 150,
     measure_transfer: bool = True,
-    verbose: bool = False,
-) -> SecuritySweepResult:
+) -> SweepResult:
     """Figures 3 and 4: the full security sweep over all three models.
 
-    Scaled-down defaults run in minutes; raise the budgets for sharper
-    curves (see EXPERIMENTS.md for the settings used in the recorded run).
+    Plans every model's cells and runs them in one serial
+    :func:`~repro.attacks.sweep.run_sweep` call; the result's ``report()``
+    renders both figures.  Parallel, checkpointed and resumable runs of the
+    same cells are ``python -m repro security-sweep``.  Scaled-down
+    defaults run in minutes; raise the budgets for sharper curves (see
+    EXPERIMENTS.md for the settings used in the recorded run).
     """
-    outcomes: dict[str, SecurityOutcome] = {}
+    units = []
     for model in models:
         config = SecurityExperimentConfig(
             model=model,
@@ -235,10 +182,8 @@ def fig3_fig4_security(
             substitute=substitute or SubstituteConfig(freeze_known=False),
             transfer_examples=transfer_examples,
         )
-        outcomes[model] = run_security_experiment(
-            config, measure_transfer=measure_transfer, verbose=verbose
-        )
-    return SecuritySweepResult(outcomes)
+        units += plan_units(config, measure_transfer=measure_transfer)
+    return run_sweep(units, jobs=1)
 
 
 # ----------------------------------------------------------------------

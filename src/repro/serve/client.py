@@ -25,9 +25,11 @@ the resilience layer this module exists for:
   could not know which response, if any, was sealed (docs/serving.md,
   "Resilience").
 
-Everything is observable as ``serve.client.*`` counters and — when
-tracing is on — one ``serve.client.request`` span per logical request
-with its attempt count.  :class:`BlockingServeClient` wraps it all for
+Everything is observable as ``serve.client.*`` counters, the
+``serve.client.connect`` (dial) and ``serve.client.backoff`` (retry
+pause) timers and — when tracing is on — one ``serve.client.request``
+span per logical request with its attempt count.
+:class:`BlockingServeClient` wraps it all for
 synchronous callers (tests, notebooks) via a private event loop on a
 daemon thread.
 
@@ -218,9 +220,10 @@ class ServeClient:
                 # Raise the 64 KiB default StreamReader limit to the
                 # protocol's line bound, or large (legal) responses would
                 # kill the reader.
-                reader, writer = await asyncio.open_connection(
-                    self._host, self._port, limit=STREAM_LIMIT_BYTES
-                )
+                with get_metrics().timer("serve.client.connect"):
+                    reader, writer = await asyncio.open_connection(
+                        self._host, self._port, limit=STREAM_LIMIT_BYTES
+                    )
             except OSError as error:
                 get_metrics().count("serve.client.connect_failures")
                 raise ServeError(
@@ -380,9 +383,10 @@ class ServeClient:
                         hint = error.detail.get("retry_after")
                         if isinstance(hint, (int, float)):
                             retry_after = float(hint)
-                    await asyncio.sleep(
-                        policy.delay(attempts - 1, token, retry_after)
-                    )
+                    with metrics.timer("serve.client.backoff"):
+                        await asyncio.sleep(
+                            policy.delay(attempts - 1, token, retry_after)
+                        )
         finally:
             duration = time.perf_counter() - start
             tracer = get_tracer()

@@ -2,8 +2,8 @@
 
 The contract under test: every cell is a pure function of its unit, so
 serial, parallel, checkpointed and resumed sweeps are **field-for-field
-identical** — to each other and to the serial
-:func:`repro.attacks.security.run_security_experiment`.
+identical** — to each other and to the frozen serial experiment in
+``tests/attacks/reference_security.py``.
 """
 
 import json
@@ -11,10 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.attacks.security import (
-    SecurityExperimentConfig,
-    run_security_experiment,
-)
+from repro.attacks.security import SecurityExperimentConfig
 from repro.attacks.substitute import SubstituteConfig
 from repro.attacks.sweep import (
     CellResult,
@@ -26,6 +23,7 @@ from repro.attacks.sweep import (
     run_sweep,
 )
 from repro.obs.metrics import MetricsRegistry
+from tests.attacks.reference_security import run_security_experiment
 
 
 def tiny_config(**overrides) -> SecurityExperimentConfig:

@@ -4,14 +4,18 @@ import math
 
 import pytest
 
+from repro.attacks.sweep import SweepResult, plan_units, run_sweep
 from repro.eval.experiments import (
     fig1_straightforward,
+    fig3_fig4_security,
     fig5_conv_layers,
     fig6_pool_layers,
     fig7_overall_ipc,
     fig8_latency,
     table1_engines,
 )
+from repro.obs.metrics import MetricsRegistry
+from tests.attacks.test_sweep import tiny_config
 
 
 class TestTable1:
@@ -64,6 +68,30 @@ def conv_sweep():
 @pytest.fixture(scope="module")
 def pool_sweep():
     return fig6_pool_layers(ratio=0.5, input_size=32)
+
+
+class TestFig3Fig4:
+    def test_one_serial_sweep_over_every_model(self):
+        config = tiny_config(ratios=(0.5,))
+        result = fig3_fig4_security(
+            models=("mlp",),
+            ratios=config.ratios,
+            width_scale=config.width_scale,
+            train_size=config.train_size,
+            test_size=config.test_size,
+            victim_epochs=config.victim_epochs,
+            substitute=config.substitute,
+            transfer_examples=config.transfer_examples,
+            measure_transfer=False,
+        )
+        assert isinstance(result, SweepResult)
+        expected = run_sweep(
+            plan_units(config, measure_transfer=False),
+            jobs=1,
+            metrics=MetricsRegistry(),
+        )
+        assert result.cells == expected.cells
+        assert "Fig 4" not in result.report()
 
 
 class TestFig5:

@@ -178,6 +178,26 @@ class TestChaosDropAndStall:
 
         run(scenario())
 
+    def test_retry_pause_and_redial_are_timed(
+        self, registry, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(
+            "REPRO_CHAOS",
+            json.dumps({"drop": ["serve:droppy"], "sentinel_dir": str(tmp_path)}),
+        )
+
+        async def scenario():
+            async with serving(ServeConfig()) as (_, client):
+                assert (await client.ping())["pong"] is True
+                await client.request("stats", tenant="droppy")
+            retries = registry.counters["serve.client.retries"]
+            assert retries == 1
+            assert registry.timers["serve.client.backoff"].count == retries
+            # The first dial plus the redial after the dropped response.
+            assert registry.timers["serve.client.connect"].count == 2
+
+        run(scenario())
+
     def test_pinned_seal_retry_is_byte_identical_replay(
         self, registry, monkeypatch, tmp_path
     ):

@@ -268,7 +268,7 @@ class TestOtherSubcommandsSmoke:
         assert "plaintext" in capsys.readouterr().out
 
     def test_figure_unsupported_number_rejected(self, capsys):
-        # Figure 3 runs via benchmarks/bench_fig3_ip_stealing.py; argparse
+        # Figure 3 runs via `repro security-sweep`; argparse
         # rejects it at the choices gate.
         with pytest.raises(SystemExit):
             main(["figure", "3"])
