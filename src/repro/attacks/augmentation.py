@@ -23,7 +23,7 @@ from ..nn.data import Dataset
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, instrument
 
 __all__ = ["jacobian_step", "jacobian_augment", "AugmentationResult"]
 
@@ -90,7 +90,7 @@ def jacobian_augment(
     metrics = get_metrics()
     tracer = get_tracer()
     rng = rng or np.random.default_rng(0)
-    with metrics.timer("attack.augment"), tracer.span(
+    with instrument(
         "attack.augment", {"rounds": rounds, "seed_samples": len(seed.images)}
     ):
         images = seed.images.copy()

@@ -69,7 +69,7 @@ from ..nn.layers import Module, set_init_rng
 from ..nn.models import build_model
 from ..obs.events import get_events
 from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import instrument
 from ..sim.parallel import resolve_jobs
 from .security import SecurityExperimentConfig, _accuracy, _train_victim
 from .substitute import (
@@ -351,8 +351,7 @@ def run_cell(unit: SweepUnit) -> CellResult:
     substitute with its unit's init seed, evaluate."""
     experiment = unit.experiment
     metrics = get_metrics()
-    tracer = get_tracer()
-    with metrics.timer("sweep.cell"), tracer.span(
+    with instrument(
         "sweep.cell",
         {
             "label": unit.label,
@@ -656,7 +655,6 @@ def run_sweep(
     units = list(units)
     jobs = resolve_jobs(jobs)
     metrics = metrics if metrics is not None else get_metrics()
-    tracer = get_tracer()
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
 
     keys = [unit.key() for unit in units]
@@ -705,9 +703,10 @@ def run_sweep(
         jobs=jobs,
     )
     if todo:
-        with metrics.timer("sweep.compute"), tracer.span(
-            "sweep.run_sweep",
+        with instrument(
+            "sweep.compute",
             {"cells": len(units), "pending": len(todo), "jobs": jobs},
+            metrics=metrics,
         ):
             if jobs > 1 and len(todo) > 1:
                 _train_victims(pending.values(), metrics)

@@ -148,25 +148,22 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro figure N`` -> (experiments function, report keywords); figures
+#: 3-4 run via ``repro security-sweep``.
+_FIGURES = {
+    "1": ("fig1_straightforward", {}),
+    "5": ("fig5_conv_layers", {}),
+    "6": ("fig6_pool_layers", {}),
+    "7": ("fig7_overall_ipc", {}),
+    "8": ("fig8_latency", {"metric": "latency"}),
+}
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     from .eval import experiments
 
-    jobs = args.jobs
-    dispatch = {
-        "1": lambda: experiments.fig1_straightforward(jobs=jobs).report(),
-        "5": lambda: experiments.fig5_conv_layers(jobs=jobs).report(),
-        "6": lambda: experiments.fig6_pool_layers(jobs=jobs).report(),
-        "7": lambda: experiments.fig7_overall_ipc(jobs=jobs).report(),
-        "8": lambda: experiments.fig8_latency(jobs=jobs).report(metric="latency"),
-    }
-    if args.number not in dispatch:
-        print(
-            f"figure {args.number} not supported here "
-            "(figures 3-4 run via `repro security-sweep`)",
-            file=sys.stderr,
-        )
-        return 2
-    print(dispatch[args.number]())
+    name, report_kwargs = _FIGURES[args.number]
+    print(getattr(experiments, name)(jobs=args.jobs).report(**report_kwargs))
     return 0
 
 
@@ -469,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_args(p_table)
     p_table.set_defaults(func=_cmd_table1)
 
-    p_fig = sub.add_parser("figure", help="regenerate a performance figure")
-    p_fig.add_argument("number", choices=["1", "5", "6", "7", "8"])
+    fig_help = "regenerate a performance figure (figures 3-4: `repro security-sweep`)"
+    p_fig = sub.add_parser("figure", help=fig_help, description=fig_help)
+    p_fig.add_argument("number", choices=list(_FIGURES))
     add_runner_args(p_fig)
     add_trace_args(p_fig)
     p_fig.set_defaults(func=_cmd_figure)

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import instrument
 from .aes import BLOCK_SIZE
 from .fastpath import GF128Table, block_backend, u64_array
 
@@ -123,10 +123,7 @@ class LineAuthenticator:
     def tag(self, address: int, counter: int, ciphertext: bytes) -> bytes:
         """Authentication tag for a ciphertext line."""
         metrics = get_metrics()
-        with metrics.timer("crypto.gmac"), get_tracer().span("crypto.gmac") as span:
-            if span:
-                span.set_attr("op", "tag")
-                span.set_attr("backend", self.backend)
+        with instrument("crypto.gmac", {"op": "tag", "backend": self.backend}):
             digest = self._digest(ciphertext)
             mask = self._mask(address, counter)
             metrics.count("crypto.gmac.tags")
@@ -161,11 +158,8 @@ class LineAuthenticator:
         if any(len(ciphertext) != length for ciphertext in ciphertexts):
             raise ValueError("batched ciphertext lines must share one length")
         metrics = get_metrics()
-        with metrics.timer("crypto.gmac"), get_tracer().span("crypto.gmac") as span:
-            if span:
-                span.set_attr("op", "tag_lines")
-                span.set_attr("lines", len(ciphertexts))
-                span.set_attr("backend", self.backend)
+        attrs = {"op": "tag_lines", "lines": len(ciphertexts), "backend": self.backend}
+        with instrument("crypto.gmac", attrs):
             # Each lane is ciphertext ‖ length block, zero-padded to blocks.
             n = len(ciphertexts)
             width = length + BLOCK_SIZE + (-length % BLOCK_SIZE)

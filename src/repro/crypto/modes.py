@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import instrument
 from .aes import BLOCK_SIZE
 from .fastpath import block_backend, ctr_seeds, u64_array
 
@@ -114,13 +114,10 @@ class DirectEncryptor:
         """
         metrics = get_metrics()
         blocks = len(addresses) * n_blocks
-        with metrics.timer("crypto.direct"), get_tracer().span("crypto.direct") as span:
-            if span:
-                span.set_attr("op", op)
-                if op == "batch":
-                    span.set_attr("lines", len(addresses))
-                span.set_attr("blocks", blocks)
-                span.set_attr("backend", self.backend)
+        attrs = {"op": op, "blocks": blocks, "backend": self.backend}
+        if op == "batch":
+            attrs["lines"] = len(addresses)
+        with instrument("crypto.direct", attrs):
             material = np.zeros((len(addresses), n_blocks, 2), dtype="<u8")
             material[..., 0] = u64_array(addresses)[:, None]
             material[..., 1] = np.arange(n_blocks, dtype=np.uint64)
@@ -234,18 +231,12 @@ class CounterModeEncryptor:
         """
         if self._track_pad_reuse:
             self._note_pad(address, counter)
-        with get_metrics().timer("crypto.ctr"), get_tracer().span("crypto.ctr") as span:
-            if span:
-                span.set_attr("op", "encrypt")
-                span.set_attr("backend", self.backend)
+        with instrument("crypto.ctr", {"op": "encrypt", "backend": self.backend}):
             return _xor_bytes(plaintext, self._pad(address, counter, len(plaintext)))
 
     def decrypt_line(self, address: int, counter: int, ciphertext: bytes) -> bytes:
         """Decrypt ``ciphertext`` at ``address`` using ``counter``."""
-        with get_metrics().timer("crypto.ctr"), get_tracer().span("crypto.ctr") as span:
-            if span:
-                span.set_attr("op", "decrypt")
-                span.set_attr("backend", self.backend)
+        with instrument("crypto.ctr", {"op": "decrypt", "backend": self.backend}):
             return _xor_bytes(ciphertext, self._pad(address, counter, len(ciphertext)))
 
     # ------------------------------------------------------------------
@@ -289,12 +280,9 @@ class CounterModeEncryptor:
         n_blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
         padded = n_blocks * BLOCK_SIZE
         metrics = get_metrics()
-        with metrics.timer("crypto.ctr"), get_tracer().span("crypto.ctr") as span:
-            if span:
-                span.set_attr("op", "batch")
-                span.set_attr("lines", len(lines))
-                span.set_attr("blocks", n_blocks * len(lines))
-                span.set_attr("backend", self.backend)
+        blocks = n_blocks * len(lines)
+        attrs = dict(op="batch", lines=len(lines), blocks=blocks, backend=self.backend)
+        with instrument("crypto.ctr", attrs):
             pad = self._cipher.encrypt_many(
                 ctr_seeds(addresses, counters, n_blocks)
             )
@@ -304,5 +292,5 @@ class CounterModeEncryptor:
                     .reshape(len(lines), padded)[:, :length]
                     .tobytes()
                 )
-            metrics.count("crypto.ctr.blocks", n_blocks * len(lines))
+            metrics.count("crypto.ctr.blocks", blocks)
             return _split(_xor_bytes(b"".join(lines), pad), length)

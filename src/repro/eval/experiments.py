@@ -19,8 +19,7 @@ from ..attacks.sweep import SweepResult, plan_units, run_sweep
 from ..core.plan import ModelEncryptionPlan
 from ..crypto.engine import ENGINE_SURVEY
 from ..nn.models import build_model
-from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import instrument
 from ..sim.parallel import SimUnit, SimulationCache, run_units
 from ..sim.runner import (
     SCHEMES,
@@ -132,9 +131,7 @@ def fig1_straightforward(
         )
         for kb in cache_sizes_kb
     ]
-    with get_metrics().timer("eval.fig1"), get_tracer().span(
-        "eval.fig1", {"matmul": list(matmul_shape)}
-    ):
+    with instrument("eval.fig1", {"matmul": list(matmul_shape)}):
         results = run_units(units, jobs=jobs, cache=cache)
     ipc = {label: result.ipc for label, result in zip(labels, results)}
     hit_rates = {
@@ -228,9 +225,7 @@ def _layer_sweep(
         for name in layer_names
         for scheme in schemes
     ]
-    with get_metrics().timer("eval.layer_sweep"), get_tracer().span(
-        "eval.layer_sweep", {"title": title, "layers": len(layer_names)}
-    ):
+    with instrument("eval.layer_sweep", {"title": title, "layers": len(layer_names)}):
         results = run_units(units, jobs=jobs, cache=cache)
     normalized: dict[str, list[float]] = {scheme: [] for scheme in schemes}
     for index in range(len(layer_names)):
@@ -376,7 +371,6 @@ def _model_sweep(
     for scheme in schemes:
         sweep.normalized_ipc[scheme] = []
         sweep.normalized_latency[scheme] = []
-    metrics = get_metrics()
     for model_name in models:
         model = (
             build_model(model_name, input_size=input_size)
@@ -386,9 +380,7 @@ def _model_sweep(
         plan = ModelEncryptionPlan.build(
             model, ratio, input_shape=(3, input_size, input_size)
         )
-        with metrics.timer("eval.model_sweep"), get_tracer().span(
-            "eval.model_sweep", {"model": model_name}
-        ):
+        with instrument("eval.model_sweep", {"model": model_name}):
             per_scheme = compare_schemes(plan, schemes, jobs=jobs, cache=cache)
         baseline: ModelRunResult | None = None
         for scheme in schemes:

@@ -41,7 +41,7 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, instrument
 from .tamper import MAC_BYTES, LINE_BYTES, ProtectedImage, TamperError, TamperingBus
 
 __all__ = [
@@ -315,7 +315,7 @@ def run_fault_campaign(
             f"(ratio {config.ratio}, {len(image.lines)} lines)"
         )
     tracer = get_tracer()
-    with metrics.timer("faults.campaign"), tracer.span(
+    with instrument(
         "faults.campaign",
         {
             "model": image.model_name,
@@ -325,6 +325,7 @@ def run_fault_campaign(
             "encrypted_lines": len(encrypted),
             "plaintext_lines": len(plaintext),
         },
+        metrics=metrics,
     ):
         bus = TamperingBus(
             image,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, instrument
 from . import functional as F
 from .data import Dataset, batch_iterator
 from .layers import Module
@@ -98,9 +98,7 @@ def fit(
     metrics = get_metrics()
     tracer = get_tracer()
     report = TrainReport()
-    with metrics.timer("train.fit"), tracer.span(
-        "train.fit", {"epochs": epochs, "batch_size": batch_size}
-    ):
+    with instrument("train.fit", {"epochs": epochs, "batch_size": batch_size}):
         for epoch in range(epochs):
             with tracer.span("train.epoch", {"epoch": epoch}) as span:
                 loss, accuracy = train_epoch(

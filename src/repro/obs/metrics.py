@@ -59,6 +59,35 @@ RESERVOIR_SIZE = 64
 WINDOW_MAX_SAMPLES = 2048
 
 
+#: Derived fields in snapshot order: (name, ``+``-joined numerator terms,
+#: denominator term or None for 1, drop a zero value).  A term is a counter
+#: or a ``timer:field``; a missing timer or zero denominator omits the field.
+DERIVED_FIELDS: tuple[tuple[str, str, str | None, bool], ...] = (
+    ("mean_kernel_seconds", "sim.kernel:mean_seconds", None, False),
+    ("mean_cell_seconds", "sweep.cell:mean_seconds", None, False),
+    ("queries_per_cell", "attack.queries", "sweep.cell:count", True),
+    ("fault_detection_rate", "faults.detected", "faults.injected", False),
+    ("runner_retry_rate", "runner.retries", "runner.attempts", False),
+    ("crypto_ctr_blocks_per_second", "crypto.ctr.blocks", "crypto.ctr:total_seconds", True),
+    ("crypto_gmac_tags_per_second", "crypto.gmac.tags", "crypto.gmac:total_seconds", True),
+    ("serve_request_p50_seconds", "serve.request:p50_seconds", None, False),
+    ("serve_request_p99_seconds", "serve.request:p99_seconds", None, False),
+    ("serve_batch_mean_requests", "serve.batch.requests", "serve.batches", False),
+    (
+        "serve_rejection_rate",
+        "serve.requests.rejected.backpressure+serve.requests.rejected.quota",
+        "serve.requests.total",
+        False,
+    ),
+    (
+        "serve_lines_per_second",
+        "serve.lines.sealed+serve.lines.unsealed+serve.lines.verified",
+        "serve.batch:total_seconds",
+        True,
+    ),
+)
+
+
 @dataclass
 class TimerStat:
     """Aggregate of one named timer: count / total / min / max seconds,
@@ -345,14 +374,6 @@ class MetricsRegistry:
         with self._lock:
             return self.counters.get(name, 0)
 
-    def cache_hit_rate(self) -> float:
-        """Hits / (hits + misses) over the ``sim.cache.*`` counters."""
-        with self._lock:
-            hits = self.counters.get("sim.cache.hits", 0)
-            misses = self.counters.get("sim.cache.misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def snapshot(self) -> dict[str, object]:
         """JSON-ready view of everything recorded so far."""
         with self._lock:
@@ -367,69 +388,25 @@ class MetricsRegistry:
                 return None
             return numerator / denominator
 
-        derived: dict[str, float] = {"cache_hit_rate": self.cache_hit_rate()}
-        kernel = timers.get("sim.kernel")
-        if kernel:
-            derived["mean_kernel_seconds"] = kernel["mean_seconds"]
-        cell = timers.get("sweep.cell")
-        if cell:
-            derived["mean_cell_seconds"] = cell["mean_seconds"]
-        queries = counters.get("attack.queries")
-        if queries and cell:
-            queries_per_cell = ratio(queries, cell["count"])
-            if queries_per_cell is not None:
-                derived["queries_per_cell"] = queries_per_cell
-        detection = ratio(
-            counters.get("faults.detected", 0), counters.get("faults.injected", 0)
-        )
-        if detection is not None:
-            derived["fault_detection_rate"] = detection
-        retry_rate = ratio(
-            counters.get("runner.retries", 0), counters.get("runner.attempts", 0)
-        )
-        if retry_rate is not None:
-            derived["runner_retry_rate"] = retry_rate
-        ctr = timers.get("crypto.ctr")
-        if ctr:
-            ctr_rate = ratio(
-                counters.get("crypto.ctr.blocks", 0), ctr["total_seconds"]
-            )
-            if ctr_rate:
-                derived["crypto_ctr_blocks_per_second"] = ctr_rate
-        gmac = timers.get("crypto.gmac")
-        if gmac:
-            gmac_rate = ratio(
-                counters.get("crypto.gmac.tags", 0), gmac["total_seconds"]
-            )
-            if gmac_rate:
-                derived["crypto_gmac_tags_per_second"] = gmac_rate
-        # Serving front end (docs/serving.md; populated by `repro serve`).
-        request = timers.get("serve.request")
-        if request:
-            derived["serve_request_p50_seconds"] = request["p50_seconds"]
-            derived["serve_request_p99_seconds"] = request["p99_seconds"]
-        batch_mean = ratio(
-            counters.get("serve.batch.requests", 0),
-            counters.get("serve.batches", 0),
-        )
-        if batch_mean is not None:
-            derived["serve_batch_mean_requests"] = batch_mean
-        admitted = counters.get("serve.requests.total")
-        if admitted:
-            derived["serve_rejection_rate"] = (
-                counters.get("serve.requests.rejected.backpressure", 0)
-                + counters.get("serve.requests.rejected.quota", 0)
-            ) / admitted
-        batch = timers.get("serve.batch")
-        if batch:
-            lines_rate = ratio(
-                counters.get("serve.lines.sealed", 0)
-                + counters.get("serve.lines.unsealed", 0)
-                + counters.get("serve.lines.verified", 0),
-                batch["total_seconds"],
-            )
-            if lines_rate:
-                derived["serve_lines_per_second"] = lines_rate
+        def term(ref: str) -> float | None:
+            """A counter (0 if absent) or ``timer:field`` (None if no timer)."""
+            timer, _, key = ref.partition(":")
+            if not key:
+                return counters.get(ref, 0)
+            stat = timers.get(timer)
+            return None if stat is None else stat[key]  # type: ignore[return-value]
+
+        hits = counters.get("sim.cache.hits", 0)
+        lookups = hits + counters.get("sim.cache.misses", 0)
+        derived: dict[str, float] = {"cache_hit_rate": ratio(hits, lookups) or 0.0}
+        for name, numerator, denominator, drop_zero in DERIVED_FIELDS:
+            parts = [term(ref) for ref in numerator.split("+")]
+            bottom = 1 if denominator is None else term(denominator)
+            if bottom is None or None in parts:
+                continue
+            value = ratio(sum(parts), bottom)  # type: ignore[arg-type]
+            if value is not None and (value or not drop_zero):
+                derived[name] = value
         return {
             "schema": METRICS_SCHEMA,
             "counters": counters,

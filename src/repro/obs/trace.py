@@ -60,6 +60,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ContextManager, Iterator, Sequence
 
+from .metrics import MetricsRegistry, get_metrics
+
 __all__ = [
     "TRACE_SCHEMA",
     "TRACE_ENV_VAR",
@@ -75,6 +77,7 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "worker_tracer",
+    "instrument",
     "chrome_trace_events",
     "write_trace",
     "write_chrome_trace",
@@ -480,6 +483,53 @@ def worker_tracer() -> Iterator[Tracer | None]:
         yield local
     finally:
         set_tracer(previous)
+
+
+class _Timed:
+    """:func:`instrument` with tracing off: no generator, one observation."""
+
+    __slots__ = ("_registry", "_name", "_start")
+
+    def __init__(self, registry: MetricsRegistry, name: str) -> None:
+        self._registry = registry
+        self._name = name
+
+    def __enter__(self) -> NullSpan:
+        self._start = time.perf_counter()
+        return NULL_SPAN
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._registry.observe(self._name, time.perf_counter() - self._start)
+
+
+@contextmanager
+def _traced(registry: MetricsRegistry, name: str, attrs) -> Iterator[Span]:
+    try:
+        with _GLOBAL.span(name, attrs) as span:
+            yield span
+    finally:  # after the span has closed and set its duration
+        registry.observe(name, span.duration)
+
+
+def instrument(
+    name: str,
+    attrs: dict[str, object] | None = None,
+    *,
+    metrics: MetricsRegistry | None = None,
+) -> ContextManager[Span | NullSpan]:
+    """Time the body into timer ``name`` (in ``metrics``, else the
+    process-wide registry) and, while tracing is on, record it as a span of
+    the same name whose duration is the number the timer observes.
+
+    Registry and tracer are resolved per call, so a worker slot's installed
+    registry applies.  Yields the span, or the falsy :data:`NULL_SPAN`
+    while tracing is off.  Coroutines keep ``metrics.timer``: the span
+    stack is per thread.
+    """
+    registry = metrics if metrics is not None else get_metrics()
+    if _GLOBAL.enabled:
+        return _traced(registry, name, attrs)
+    return _Timed(registry, name)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, instrument
 from .config import EncryptionMode, GpuConfig
 from . import engine
 from .engine import CompiledKernel, resolve_sim_backend
@@ -126,19 +126,17 @@ class GpuSimulator:
         metrics = get_metrics()
         metrics.count("sim.kernel_runs")
         metrics.count(f"sim.backend.{self.backend}")
-        tracer = get_tracer()
-        with tracer.span("sim.compile"), metrics.timer("sim.compile"):
+        with instrument("sim.compile"):
             if self.backend == "vector":
                 # Looked up on the module so wrappers installed there apply.
                 program = engine.compile_streams(self.config, streams)
             else:
                 program = [list(stream) for stream in streams]
-        with tracer.span("sim.kernel") as span:
-            wall_start = time.time()
-            with metrics.timer("sim.kernel"):
-                result = self._run(program, label)
-            if span:
-                self._annotate_span(span, result, wall_start)
+        wall_start = time.time()
+        with instrument("sim.kernel") as span:
+            result = self._run(program, label)
+        if span:
+            self._annotate_span(span, result, wall_start)
         metrics.count("sim.data_bytes", result.data_bytes)
         return result
 

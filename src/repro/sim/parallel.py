@@ -40,7 +40,7 @@ from ..core.memory import SecureHeap
 from ..core.plan import LayerTraffic
 from ..faults import RetryPolicy, run_hardened
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, instrument
 from .config import GpuConfig
 from .gpu import GpuSimulator, SimResult
 from .workloads import DEFAULT_TILE, layer_streams
@@ -194,7 +194,7 @@ def simulate_unit(unit: SimUnit) -> SimResult:
         "sim.unit", {"label": unit.label, "tile": unit.tile} if tracer.enabled else None
     ):
         simulator = GpuSimulator(unit.config)
-        with tracer.span("sim.lower"), get_metrics().timer("sim.lower"):
+        with instrument("sim.lower"):
             streams = layer_streams(
                 unit.config, unit.traffic, tile=unit.tile, heap=SecureHeap()
             )
@@ -244,7 +244,6 @@ def run_units(
     units = list(units)
     jobs = resolve_jobs(jobs)
     metrics = metrics if metrics is not None else get_metrics()
-    tracer = get_tracer()
     store = _resolve_cache(cache)
 
     keys = [unit.key() for unit in units]
@@ -268,9 +267,10 @@ def run_units(
             if store is not None:
                 store.put(key, result)
 
-        with metrics.timer("parallel.compute"), tracer.span(
-            "parallel.run_units",
+        with instrument(
+            "parallel.compute",
             {"units": len(units), "pending": len(todo), "jobs": jobs},
+            metrics=metrics,
         ):
             run_hardened(
                 _timed_unit, todo, jobs=jobs, policy=policy, metrics=metrics, on_result=deliver

@@ -16,7 +16,7 @@ from ..core.plan import LayerTraffic, ModelEncryptionPlan
 from ..core.memory import SecureHeap
 from ..nn.layers import Module
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, instrument
 from .config import EncryptionMode, GpuConfig, gtx480_config
 from .gpu import GpuSimulator, SimResult
 from .parallel import SimUnit, SimulationCache, run_units
@@ -276,7 +276,7 @@ def compare_schemes(
         plan = ModelEncryptionPlan.build(source, ratio, input_shape=input_shape)
     metrics = get_metrics()
     tracer = get_tracer()
-    with metrics.timer("runner.compare_schemes"), tracer.span(
+    with instrument(
         "runner.compare_schemes",
         {"model": plan.model_name, "schemes": list(schemes), "ratio": ratio},
     ):

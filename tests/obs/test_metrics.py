@@ -3,7 +3,11 @@
 import json
 import math
 
+import pytest
+
 from repro.obs.metrics import RESERVOIR_SIZE, MetricsRegistry, TimerStat
+
+from .reference_derived import reference_derived
 
 
 class TestQuantiles:
@@ -162,3 +166,61 @@ class TestDerivedGuards:
         registry.observe("sim.kernel", 0.001)
         registry.count("sim.cache.hits", 1)
         json.dumps(registry.snapshot())
+
+
+def _zero_numerators(registry):
+    registry.count("attack.queries", 0)
+    registry.observe("sweep.cell", 0.2)
+    registry.count("faults.injected", 4)
+    registry.count("runner.attempts", 3)
+    registry.observe("crypto.ctr", 0.1)
+    registry.observe("crypto.gmac", 0.1)
+    registry.observe("serve.batch", 0.1)
+    registry.count("serve.batches", 2)
+    registry.count("serve.requests.total", 5)
+
+
+def _empty_timers(registry):
+    # Merging a count-0 aggregate creates the timer without observing.
+    registry.merge(
+        {
+            "timers": {
+                name: {"count": 0}
+                for name in ("sim.kernel", "sweep.cell", "serve.request", "crypto.ctr")
+            }
+        }
+    )
+    registry.count("attack.queries", 5)
+    registry.count("crypto.ctr.blocks", 8)
+
+
+def _everything(registry):
+    for name, value in {
+        "sim.cache.hits": 3, "sim.cache.misses": 1, "attack.queries": 40,
+        "faults.injected": 8, "faults.detected": 6, "runner.attempts": 4,
+        "runner.retries": 1, "crypto.ctr.blocks": 96, "crypto.gmac.tags": 12,
+        "serve.batch.requests": 9, "serve.batches": 3,
+        "serve.requests.total": 10, "serve.requests.rejected.backpressure": 1,
+        "serve.requests.rejected.quota": 2, "serve.lines.sealed": 30,
+        "serve.lines.unsealed": 7, "serve.lines.verified": 5,
+    }.items():
+        registry.count(name, value)
+    for name in ("sim.kernel", "sweep.cell", "crypto.ctr", "crypto.gmac",
+                 "serve.request", "serve.batch"):
+        for seconds in (0.01, 0.03, 0.02):
+            registry.observe(name, seconds)
+
+
+class TestDerivedTable:
+    """``DERIVED_FIELDS`` read by one loop gives the dict the hand-written
+    branches gave, key order included."""
+
+    @pytest.mark.parametrize(
+        "fill", [lambda registry: None, _zero_numerators, _empty_timers, _everything]
+    )
+    def test_equals_the_hand_written_branches(self, fill):
+        registry = MetricsRegistry()
+        fill(registry)
+        snapshot = registry.snapshot()
+        expected = reference_derived(snapshot["counters"], snapshot["timers"])
+        assert list(snapshot["derived"].items()) == list(expected.items())

@@ -200,7 +200,7 @@ class TestWorkerPropagation:
         by_name = {}
         for span in spans:
             by_name.setdefault(span.name, []).append(span)
-        (dispatch,) = by_name["parallel.run_units"]
+        (dispatch,) = by_name["parallel.compute"]
         assert dispatch.attrs["jobs"] == 2
         assert len(by_name["sim.unit"]) == 4
         for unit_span in by_name["sim.unit"]:

@@ -206,7 +206,7 @@ class TestTraceFlags:
         assert "main" in process_names
         assert any(name.startswith("worker-") for name in process_names)
         complete = [event for event in events if event["ph"] == "X"]
-        assert {"sim.unit", "parallel.run_units"} <= {
+        assert {"sim.unit", "parallel.compute"} <= {
             event["name"] for event in complete
         }
 
@@ -273,6 +273,11 @@ class TestOtherSubcommandsSmoke:
         with pytest.raises(SystemExit):
             main(["figure", "3"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_figure_help_points_at_security_sweep(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["figure", "--help"])
+        assert "security-sweep" in capsys.readouterr().out
 
 
 class TestTopSubcommand:
