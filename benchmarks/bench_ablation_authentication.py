@@ -14,7 +14,7 @@ from repro.eval.reporting import ascii_table
 from repro.nn.layers import set_init_rng
 from repro.nn.models import vgg16
 from repro.sim.gpu import GpuSimulator
-from repro.sim.runner import SCHEMES, scheme_config, traffic_for_scheme
+from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
 
 
@@ -30,7 +30,7 @@ def _run(plan, scheme, authenticate):
     for traffic in plan.layer_traffic():
         simulator = GpuSimulator(config)
         streams = layer_streams(
-            config, traffic_for_scheme(traffic, scheme), heap=SecureHeap()
+            config, tag_traffic(traffic, config.encryption), heap=SecureHeap()
         )
         result = simulator.run(streams)
         cycles += result.cycles

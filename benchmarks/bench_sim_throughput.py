@@ -29,7 +29,7 @@ from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.sim.engine import compile_streams
 from repro.sim.gpu import GpuSimulator
-from repro.sim.runner import SCHEMES, scheme_config, traffic_for_scheme
+from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # repo root
@@ -48,7 +48,8 @@ def _fig7_units(models):
         )
         for traffic in plan.layer_traffic():
             for scheme in SCHEMES:
-                units.append((scheme_config(scheme), traffic_for_scheme(traffic, scheme)))
+                config = scheme_config(scheme)
+                units.append((config, tag_traffic(traffic, config.encryption)))
     return units
 
 

@@ -212,7 +212,7 @@ class CounterModeEncryptor:
         """The CTR keystream for one line — exposed so the conformance
         suite can compare backends on the pad itself, not only on XORed
         ciphertext."""
-        with get_metrics().timer("crypto.ctr"):
+        with instrument("crypto.ctr", {"op": "keystream", "backend": self.backend}):
             return self._pad(address, counter, length)
 
     def _note_pad(self, address: int, counter: int) -> None:

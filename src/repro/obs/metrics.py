@@ -440,12 +440,15 @@ class MetricsRegistry:
         this registry.
 
         Used to aggregate worker-process metrics into the parent.  The
-        observation tap does not see merged timers.
+        observation tap does not see merged timers, and an aggregate that
+        observed nothing creates no timer.
         """
         for name, value in (snapshot.get("counters") or {}).items():  # type: ignore[union-attr]
             self.count(name, int(value))
         with self._lock:
             for name, agg in (snapshot.get("timers") or {}).items():  # type: ignore[union-attr]
+                if int(agg.get("count", 0)) <= 0:
+                    continue
                 stat = self.timers.get(name)
                 if stat is None:
                     stat = self.timers[name] = TimerStat()

@@ -10,10 +10,10 @@ four things the rest of the repo needs to evaluate any of them:
    (criticality-tagged lines bypass the engine, everything else rides
    plaintext) vs. full coverage, and ``authenticated`` (a per-line MAC)
    vs. confidentiality only.
-2. **Engine placement and latency hooks** — :meth:`encryption_config`
-   maps the scheme onto the cycle model's
-   :class:`~repro.sim.config.EncryptionConfig` (engine mode, MAC verify
-   stage, counter-cache geometry), so the simulator's memory
+2. **Engine placement and latency hooks** — :meth:`gpu_config` maps
+   the scheme onto the cycle model's
+   :class:`~repro.sim.config.GpuConfig` (engine mode, coverage, MAC
+   verify stage, counter-cache geometry), so the simulator's memory
    controllers, AES engines and counter caches price the scheme without
    any scheme-specific code in the timing loops.
 3. **Counter/MAC metadata traffic** — :meth:`metadata_bytes_per_line`
@@ -35,11 +35,11 @@ fault campaign and benchmarks swap schemes without special cases.
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 
 from ..crypto.counter_cache import CounterCacheConfig
-from ..crypto.engine import PAPER_ENGINE, EngineSpec
 from ..crypto.mac import MAC_BYTES
-from ..sim.config import EncryptionConfig, EncryptionMode, GpuConfig, GTX480_CONFIG
+from ..sim.config import EncryptionMode, GpuConfig, gtx480_config
 
 __all__ = [
     "ProtectionScheme",
@@ -102,44 +102,27 @@ class ProtectionScheme(abc.ABC):
             ),
         )
 
-    def encryption_config(
-        self,
-        *,
-        counter_cache_kb: int = 96,
-        engine: EngineSpec = PAPER_ENGINE,
-        num_channels: int = GTX480_CONFIG.num_channels,
-    ) -> EncryptionConfig:
-        """Map this scheme onto the cycle model's encryption parameters.
+    def gpu_config(self, *, counter_cache_kb: int = 96) -> GpuConfig:
+        """GTX480 configuration running under this scheme.
 
         ``counter_cache_kb`` is the total on-chip counter budget, split
-        evenly over the memory controllers exactly as
-        :func:`repro.sim.config.gtx480_config` does, so a scheme-built
-        config is field-for-field equal to the hand-built one (the
-        conformance suite pins this).
+        over the memory controllers by :func:`repro.sim.config.gtx480_config`;
+        the scheme then sets its counter span and MAC parameters.
         """
-        per_mc = max(
-            CounterCacheConfig().block_bytes * 8,
-            counter_cache_kb * 1024 // num_channels,
+        config = gtx480_config(
+            self.mode, selective=self.selective, counter_cache_kb=counter_cache_kb
         )
-        return EncryptionConfig(
-            mode=self.mode,
-            selective=self.selective,
-            engine=engine,
-            counter_cache=self.counter_cache_config(size_bytes=per_mc),
-            authenticate=self.authenticated,
-            mac_bytes=self.tag_bytes or MAC_BYTES,
-            mac_verify_cycles=self.mac_verify_cycles or 4,
-        )
-
-    def gpu_config(
-        self,
-        *,
-        counter_cache_kb: int = 96,
-        engine: EngineSpec = PAPER_ENGINE,
-    ) -> GpuConfig:
-        """GTX480 configuration running under this scheme."""
-        return GTX480_CONFIG.with_encryption(
-            self.encryption_config(counter_cache_kb=counter_cache_kb, engine=engine)
+        encryption = config.encryption
+        return config.with_encryption(
+            replace(
+                encryption,
+                counter_cache=self.counter_cache_config(
+                    size_bytes=encryption.counter_cache.size_bytes
+                ),
+                authenticate=self.authenticated,
+                mac_bytes=self.tag_bytes or MAC_BYTES,
+                mac_verify_cycles=self.mac_verify_cycles or 4,
+            )
         )
 
     # -- functional crypto ----------------------------------------------

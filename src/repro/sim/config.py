@@ -19,6 +19,7 @@ from ..crypto.engine import PAPER_ENGINE, EngineSpec
 __all__ = [
     "EncryptionMode",
     "EncryptionConfig",
+    "PAPER_SCHEMES",
     "GpuConfig",
     "GTX480_CONFIG",
     "gtx480_config",
@@ -59,12 +60,20 @@ class EncryptionConfig:
 
     def label(self) -> str:
         """The scheme name used in the paper's figures."""
-        if not self.enabled:
-            return "Baseline"
-        base = "Direct" if self.mode is EncryptionMode.DIRECT else "Counter"
-        if self.selective:
-            return "SEAL-D" if self.mode is EncryptionMode.DIRECT else "SEAL-C"
-        return base
+        spec = (self.mode, self.selective and self.enabled)
+        return next(label for label, entry in PAPER_SCHEMES.items() if entry == spec)
+
+
+#: The paper's five schemes in figure order: label → (engine mode,
+#: selective).  Baseline and full encryption (Section II-B) against SEAL
+#: over each engine (Section IV-A); the only place these labels live.
+PAPER_SCHEMES: dict[str, tuple[EncryptionMode, bool]] = {
+    "Baseline": (EncryptionMode.NONE, False),
+    "Direct": (EncryptionMode.DIRECT, False),
+    "Counter": (EncryptionMode.COUNTER, False),
+    "SEAL-D": (EncryptionMode.DIRECT, True),
+    "SEAL-C": (EncryptionMode.COUNTER, True),
+}
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,8 @@ def _resolve_cache(cache: SimulationCache | None | bool) -> SimulationCache | No
 class SimUnit:
     """One independent simulation: a tagged traffic record on one config.
 
-    ``traffic`` must already be scheme-tagged (see
-    :func:`repro.sim.runner.traffic_for_scheme`); ``label`` is carried onto
+    ``traffic`` must already be tagged for ``config``'s encryption (see
+    :func:`repro.sim.runner.tag_traffic`); ``label`` is carried onto
     the resulting :class:`SimResult` and takes no part in caching.
     """
 

@@ -10,14 +10,14 @@ a dependent layer chain), so end-to-end latency is the sum of layer times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.plan import LayerTraffic, ModelEncryptionPlan
 from ..core.memory import SecureHeap
 from ..nn.layers import Module
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer, instrument
-from .config import EncryptionMode, GpuConfig, gtx480_config
+from .config import PAPER_SCHEMES, EncryptionConfig, GpuConfig, gtx480_config
 from .gpu import GpuSimulator, SimResult
 from .parallel import SimUnit, SimulationCache, run_units
 from .workloads import DEFAULT_TILE, layer_streams
@@ -25,7 +25,7 @@ from .workloads import DEFAULT_TILE, layer_streams
 __all__ = [
     "SCHEMES",
     "known_schemes",
-    "traffic_for_scheme",
+    "tag_traffic",
     "scheme_config",
     "fully_encrypted",
     "plaintext_traffic",
@@ -37,20 +37,7 @@ __all__ = [
 ]
 
 #: Scheme labels in the paper's figure order.
-SCHEMES = ("Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C")
-
-
-def _registry_scheme(name: str):
-    """Registered :class:`~repro.schemes.base.ProtectionScheme` or None.
-
-    Deferred import: :mod:`repro.schemes` builds on this module's config
-    types, so the registry is only touched for non-paper scheme names.
-    """
-    from ..schemes import get_scheme, scheme_names
-
-    if name not in scheme_names():
-        return None
-    return get_scheme(name)
+SCHEMES = tuple(PAPER_SCHEMES)
 
 
 def known_schemes() -> tuple[str, ...]:
@@ -62,76 +49,60 @@ def known_schemes() -> tuple[str, ...]:
 
 def scheme_config(name: str, *, counter_cache_kb: int = 96) -> GpuConfig:
     """GTX480 configuration for a paper scheme or a registered
-    :class:`~repro.schemes.base.ProtectionScheme` name."""
-    table = {
-        "Baseline": (EncryptionMode.NONE, False),
-        "Direct": (EncryptionMode.DIRECT, False),
-        "Counter": (EncryptionMode.COUNTER, False),
-        "SEAL-D": (EncryptionMode.DIRECT, True),
-        "SEAL-C": (EncryptionMode.COUNTER, True),
-    }
-    if name in table:
-        mode, selective = table[name]
+    :class:`~repro.schemes.base.ProtectionScheme` name — the one place a
+    scheme name is resolved; everything downstream reads the config."""
+    if name in PAPER_SCHEMES:
+        mode, selective = PAPER_SCHEMES[name]
         return gtx480_config(
             mode, selective=selective, counter_cache_kb=counter_cache_kb
         )
-    scheme = _registry_scheme(name)
-    if scheme is None:
+    # Deferred import: repro.schemes builds on this package's config types.
+    from ..schemes import get_scheme, scheme_names
+
+    if name not in scheme_names():
         raise ValueError(
             f"unknown scheme {name!r}; choose from {known_schemes()}"
         )
-    return scheme.gpu_config(counter_cache_kb=counter_cache_kb)
+    return get_scheme(name).gpu_config(counter_cache_kb=counter_cache_kb)
 
 
 def fully_encrypted(traffic: LayerTraffic) -> LayerTraffic:
-    """Traffic record with every byte marked critical (Direct/Counter)."""
-    return LayerTraffic(
-        name=traffic.name,
-        kind=traffic.kind,
-        macs=traffic.macs,
+    """Traffic record with every byte marked critical (full coverage)."""
+    return replace(
+        traffic,
         weight_bytes_encrypted=traffic.weight_bytes_encrypted + traffic.weight_bytes_plain,
         weight_bytes_plain=0,
         input_bytes_encrypted=traffic.input_bytes_encrypted + traffic.input_bytes_plain,
         input_bytes_plain=0,
         output_bytes_encrypted=traffic.output_bytes_encrypted + traffic.output_bytes_plain,
         output_bytes_plain=0,
-        gemm_m=traffic.gemm_m,
-        gemm_n=traffic.gemm_n,
-        gemm_k=traffic.gemm_k,
     )
 
 
 def plaintext_traffic(traffic: LayerTraffic) -> LayerTraffic:
-    """Traffic record with no byte marked critical (Baseline tagging)."""
-    return LayerTraffic(
-        name=traffic.name,
-        kind=traffic.kind,
-        macs=traffic.macs,
+    """Traffic record with no byte marked critical (no engine)."""
+    return replace(
+        traffic,
         weight_bytes_encrypted=0,
         weight_bytes_plain=traffic.weight_bytes_encrypted + traffic.weight_bytes_plain,
         input_bytes_encrypted=0,
         input_bytes_plain=traffic.input_bytes_encrypted + traffic.input_bytes_plain,
         output_bytes_encrypted=0,
         output_bytes_plain=traffic.output_bytes_encrypted + traffic.output_bytes_plain,
-        gemm_m=traffic.gemm_m,
-        gemm_n=traffic.gemm_n,
-        gemm_k=traffic.gemm_k,
     )
 
 
-def traffic_for_scheme(traffic: LayerTraffic, scheme: str) -> LayerTraffic:
-    """Tag a layer's traffic for one scheme: Baseline strips criticality,
-    full-coverage schemes mark everything critical, selective schemes
-    (SEAL and selective registry schemes) keep the plan's split."""
-    if scheme in ("Direct", "Counter"):
-        return fully_encrypted(traffic)
-    if scheme == "Baseline":
+def tag_traffic(
+    traffic: LayerTraffic, encryption: EncryptionConfig
+) -> LayerTraffic:
+    """Tag a layer's traffic for one encryption config: no engine strips
+    criticality, full coverage marks everything critical, and a selective
+    engine keeps the plan's split."""
+    if not encryption.enabled:
         return plaintext_traffic(traffic)
-    if scheme not in ("SEAL-D", "SEAL-C"):
-        registered = _registry_scheme(scheme)
-        if registered is not None and not registered.selective:
-            return fully_encrypted(traffic)
-    return traffic  # selective schemes keep the plan's split
+    if not encryption.selective:
+        return fully_encrypted(traffic)
+    return traffic
 
 
 def run_layer(
@@ -140,17 +111,16 @@ def run_layer(
     *,
     counter_cache_kb: int = 96,
     tile: int = DEFAULT_TILE,
-    config: GpuConfig | None = None,
 ) -> SimResult:
     """Simulate one layer under one scheme; returns the kernel result.
 
     This is the uncached serial reference path — the parallel/cached runner
     in :mod:`repro.sim.parallel` is pinned against it by the golden suite.
     """
-    config = config or scheme_config(scheme, counter_cache_kb=counter_cache_kb)
+    config = scheme_config(scheme, counter_cache_kb=counter_cache_kb)
     simulator = GpuSimulator(config)
     streams = layer_streams(
-        config, traffic_for_scheme(traffic, scheme), tile=tile, heap=SecureHeap()
+        config, tag_traffic(traffic, config.encryption), tile=tile, heap=SecureHeap()
     )
     return simulator.run(streams, label=f"{traffic.name}/{scheme}")
 
@@ -161,12 +131,11 @@ def layer_unit(
     *,
     counter_cache_kb: int = 96,
     tile: int = DEFAULT_TILE,
-    config: GpuConfig | None = None,
 ) -> SimUnit:
     """The :class:`SimUnit` equivalent of :func:`run_layer`'s arguments."""
-    config = config or scheme_config(scheme, counter_cache_kb=counter_cache_kb)
+    config = scheme_config(scheme, counter_cache_kb=counter_cache_kb)
     return SimUnit(
-        traffic=traffic_for_scheme(traffic, scheme),
+        traffic=tag_traffic(traffic, config.encryption),
         config=config,
         tile=tile,
         label=f"{traffic.name}/{scheme}",
@@ -264,9 +233,9 @@ def compare_schemes(
     """Run a model under several schemes; keys follow the paper's labels.
 
     The model is lowered to traffic records **once** and the same records
-    are tagged per scheme (Baseline strips criticality, Direct/Counter mark
-    everything critical, SEAL keeps the plan's split) — the per-scheme
-    re-lowering the serial runner used to do was pure recomputation.  All
+    are tagged for each scheme's config by :func:`tag_traffic` — the
+    per-scheme re-lowering the serial runner used to do was pure
+    recomputation.  All
     ``len(schemes) × len(layers)`` simulation units then go through
     :func:`repro.sim.parallel.run_units` as one deduplicated batch.
     """
@@ -282,20 +251,12 @@ def compare_schemes(
     ):
         with tracer.span("runner.lower"):
             traffics = plan.layer_traffic(include_pools=include_pools, batch=batch)
-        units: list[SimUnit] = []
-        owners: list[str] = []
-        for scheme in schemes:
-            config = scheme_config(scheme, counter_cache_kb=counter_cache_kb)
-            for traffic in traffics:
-                units.append(
-                    SimUnit(
-                        traffic=traffic_for_scheme(traffic, scheme),
-                        config=config,
-                        tile=tile,
-                        label=f"{traffic.name}/{scheme}",
-                    )
-                )
-                owners.append(scheme)
+        units = [
+            layer_unit(traffic, scheme, counter_cache_kb=counter_cache_kb, tile=tile)
+            for scheme in schemes
+            for traffic in traffics
+        ]
+        owners = [scheme for scheme in schemes for _ in traffics]
         layer_results = run_units(units, jobs=jobs, cache=cache, metrics=metrics)
     metrics.count("runner.layer_sims", len(units))
     results = {

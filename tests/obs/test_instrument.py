@@ -2,8 +2,8 @@
 instrumented region.
 
 The workload — a five-scheme ``compare_schemes`` on the MLP, a
-``seal-se`` and a ``direct`` seal/verify/unseal, and a tiny fault
-campaign — runs once with a fresh registry and an enabled tracer.  The
+``seal-se`` and a ``direct`` seal/verify/unseal, one CTR keystream, and a
+tiny fault campaign — runs once with a fresh registry and an enabled tracer.  The
 sorted counter, timer, derived and span names are pinned: timer names are
 a contract (Prometheus, ``repro.metrics/v1``, CI, the BENCH documents).
 Every region that :func:`repro.obs.instrument` wraps must record as many
@@ -13,6 +13,7 @@ span durations: one clock, one number.
 
 import pytest
 
+from repro.crypto.modes import CounterModeEncryptor
 from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 from repro.nn.models import build_model
 from repro.obs import instrument
@@ -97,6 +98,7 @@ def _workload() -> None:
         sealed = sealer.seal(payload, base_address=0x4000, counter=3)
         assert all(sealer.verify(sealed))
         assert sealer.unseal(sealed) == payload
+    CounterModeEncryptor(bytes(range(16))).keystream(0x4000, 3, 128)
     run_fault_campaign(
         FaultCampaignConfig(synthetic_lines=16, faults_per_class=2, seed=0)
     )

@@ -103,6 +103,13 @@ class TestMerge:
         assert snap["counters"]["sim.kernel_runs"] == 4
         assert snap["timers"]["sim.kernel"]["count"] == 1
 
+    def test_registry_merge_of_a_count_zero_aggregate_creates_no_timer(self):
+        registry = MetricsRegistry()
+        registry.merge({"timers": {"sim.kernel": {"count": 0}}})
+        snap = registry.snapshot()
+        assert "sim.kernel" not in snap["timers"]
+        assert "mean_kernel_seconds" not in snap["derived"]
+
     def test_merged_deltas_equal_one_merged_snapshot(self):
         # A long-lived worker ships one delta per batch; folding them must
         # give the parent what one snapshot of the same observations gives.
@@ -181,7 +188,7 @@ def _zero_numerators(registry):
 
 
 def _empty_timers(registry):
-    # Merging a count-0 aggregate creates the timer without observing.
+    # Count-0 aggregates: the merge skips them, so no timer exists.
     registry.merge(
         {
             "timers": {

@@ -21,7 +21,8 @@ from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.schemes import get_scheme, scheme_names
 from repro.sim.config import EncryptionMode, gtx480_config
-from repro.sim.runner import run_layer, scheme_config, traffic_for_scheme
+from repro.sim.parallel import SimUnit, simulate_unit
+from repro.sim.runner import run_layer, scheme_config, tag_traffic
 
 from tests.sim.test_golden_ipc import assert_results_identical
 from .conftest import KEY
@@ -146,7 +147,13 @@ class TestSimCounterIdentity:
         )
         for traffic in golden_traffics:
             via_scheme = run_layer(traffic, "seal-se")
-            via_config = run_layer(traffic, "seal-se", config=hand)
+            via_config = simulate_unit(
+                SimUnit(
+                    tag_traffic(traffic, hand.encryption),
+                    hand,
+                    label=f"{traffic.name}/seal-se",
+                )
+            )
             assert_results_identical(via_scheme, via_config)
 
     def test_direct_scheme_runs_identical_to_paper_direct(
@@ -164,7 +171,7 @@ class TestSimCounterIdentity:
     def test_full_coverage_schemes_tag_all_traffic(self, golden_traffics):
         for traffic in golden_traffics:
             for name in scheme_names():
-                tagged = traffic_for_scheme(traffic, name)
+                tagged = tag_traffic(traffic, scheme_config(name).encryption)
                 if get_scheme(name).selective:
                     assert tagged == traffic
                 else:

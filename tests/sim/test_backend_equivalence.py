@@ -24,7 +24,7 @@ from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sim import _native
 from repro.sim.gpu import GpuSimulator
-from repro.sim.runner import SCHEMES, scheme_config, traffic_for_scheme
+from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
 
 from .test_golden_ipc import assert_results_identical
@@ -130,7 +130,7 @@ def full_state(simulator, result):
 def run_one(config, traffic, scheme, backend, repeats=1):
     """Run a layer ``repeats`` times on one simulator (warm-state reuse)."""
     simulator = GpuSimulator(config, backend=backend)
-    tagged = traffic_for_scheme(traffic, scheme)
+    tagged = tag_traffic(traffic, config.encryption)
     states = []
     for _ in range(repeats):
         streams = layer_streams(config, tagged, heap=SecureHeap())
@@ -196,7 +196,7 @@ class TestRandomizedConfigs:
             num_channels=num_channels,
         )
         traffic = synthetic_layer("fc", m, n, k, fraction)
-        tagged = traffic_for_scheme(traffic, scheme)
+        tagged = tag_traffic(traffic, config.encryption)
         results, states = {}, {}
         for backend in ("scalar", "vector"):
             simulator = GpuSimulator(config, backend=backend)

@@ -251,7 +251,5 @@ class TestResnet18CacheHits:
         spot = units[-1]
         assert_results_identical(
             results[-1],
-            run_layer(
-                spot.traffic, "SEAL-C", config=spot.config, tile=spot.tile
-            ),
+            run_layer(spot.traffic, "SEAL-C", tile=spot.tile),
         )

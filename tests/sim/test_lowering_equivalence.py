@@ -22,7 +22,7 @@ from repro.core.plan import LayerTraffic, ModelEncryptionPlan
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.sim.config import gtx480_config
-from repro.sim.runner import SCHEMES, scheme_config, traffic_for_scheme
+from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.sm import LoweredStreams
 from repro.sim.trace import dump_streams
 from repro.sim.workloads import MAX_STEPS_PER_SM, layer_streams, matmul_traffic
@@ -78,7 +78,7 @@ def fig7_lowerings():
         )
         for traffic in plan.layer_traffic():
             for scheme in SCHEMES:
-                tagged = traffic_for_scheme(traffic, scheme)
+                tagged = tag_traffic(traffic, scheme_config(scheme).encryption)
                 distinct.setdefault(replace(tagged, name=""), tagged)
     return list(distinct.values())
 

@@ -13,7 +13,7 @@ from repro.sim.runner import (
     run_layer,
     run_model,
     scheme_config,
-    traffic_for_scheme,
+    tag_traffic,
 )
 from repro.sim.workloads import matmul_traffic
 
@@ -183,7 +183,9 @@ class TestCompareSchemesSharedLowering:
         }
         for scheme in SCHEMES:
             for base, unit in zip(base_traffics, by_scheme[scheme]):
-                assert unit.traffic == traffic_for_scheme(base, scheme)
+                assert unit.traffic == tag_traffic(
+                    base, scheme_config(scheme).encryption
+                )
         # SEAL schemes keep the plan's split untouched, so both must carry
         # the *same* underlying record the single lowering produced.
         for seal_d, seal_c in zip(by_scheme["SEAL-D"], by_scheme["SEAL-C"]):
