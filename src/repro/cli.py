@@ -36,8 +36,7 @@ instead — results are identical by contract (docs/fault-model.md).
 scalar|vector`` (or ``REPRO_SIM_BACKEND``) to pin the simulator engine;
 the vector default compiles step streams to flat arrays and is an order
 of magnitude faster, with bit-identical results (docs/architecture.md);
-``REPRO_SIM_NATIVE=0`` additionally forces the vector engine's
-pure-Python inner loop when the compiled helper is suspect.  ``serve``
+where its C kernel cannot be built, it runs the scalar engine.  ``serve``
 runs the asyncio model-protection server (micro-batching, per-tenant
 quotas, bounded queues, crash-isolated workers — docs/serving.md);
 on shutdown it can emit the same ``--metrics-out``/``--trace-out``
@@ -438,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--sim-backend", choices=["scalar", "vector"], default=None,
             help="simulator engine (default: REPRO_SIM_BACKEND or vector); "
-            "results are bit-identical by contract; REPRO_SIM_NATIVE=0 "
-            "forces the vector engine's pure-Python inner loop",
+            "results are bit-identical by contract; vector runs the scalar "
+            "engine when its C kernel cannot be built",
         )
 
     p_sim = sub.add_parser(

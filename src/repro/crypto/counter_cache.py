@@ -195,64 +195,6 @@ class CounterCache:
             line.dirty = True
         return hit
 
-    def access_run(
-        self, block_id: int, count: int, addresses: tuple[int, ...] | None = None
-    ) -> bool:
-        """Batched lookup: ``count`` consecutive line accesses, one block.
-
-        Exactly equivalent to ``count`` :meth:`access` calls whose data
-        lines all fall inside counter block ``block_id`` (the caller must
-        guarantee that — consecutive cache lines of one memory request).
-        Only the first access of such a run can miss (the block is resident
-        afterwards and nothing intervenes), so the run costs one set lookup
-        instead of ``count``; hit/miss statistics, LRU order, evictions and
-        per-line counter state end up identical to the scalar sequence.
-        The vector simulator backend is the consumer; the scalar backend
-        keeps calling :meth:`access` per line, and the differential suite
-        pins the two paths against each other.
-
-        ``addresses`` carries the per-line data addresses for write runs
-        (each write bumps its line's counter, possibly re-encrypting);
-        ``None`` means a read run, which touches no counter state.
-        Returns whether the *first* access of the run hit.
-        """
-        if count <= 0:
-            raise ValueError("run must cover at least one line")
-        set_index = block_id % self._num_sets
-        tag = block_id // self._num_sets
-        cache_set = self._sets[set_index]
-        line = cache_set.get(tag)
-        if line is not None:
-            cache_set.move_to_end(tag)
-            self.stats.hits += count
-            hit = True
-        else:
-            self.stats.misses += 1
-            self.stats.hits += count - 1
-            line = _CacheLine(tag=tag)
-            if len(cache_set) >= self.config.associativity:
-                _, evicted = cache_set.popitem(last=False)
-                self.stats.evictions += 1
-                if evicted.dirty:
-                    self.stats.writebacks += 1
-                    self._backing.update(evicted.counters)
-            cache_set[tag] = line
-            hit = False
-        if addresses is not None:
-            counters = line.counters
-            backing = self._backing
-            limit = self._minor_limit
-            for address in addresses:
-                value = counters.get(address)
-                if value is None:
-                    value = backing.get(address, 0)
-                value += 1
-                if value % limit == 0:
-                    value = self._reencrypt_block(block_id, line) + 1
-                counters[address] = value
-            line.dirty = True
-        return hit
-
     def _reencrypt_block(self, block_id: int, line: _CacheLine) -> int:
         """Model one re-encryption event for the covering counter block.
 

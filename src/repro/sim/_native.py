@@ -3,10 +3,11 @@
 The vector backend's event loop is a few dozen primitive float/int
 operations per memory request; at that granularity the CPython interpreter
 itself is the bottleneck.  This module carries a single-file C
-implementation of the loop — a line-for-line transliteration of the
-Python fallback in :mod:`repro.sim.engine`, operating on the same
-structure-of-arrays produced by ``compile_streams`` — and compiles it
-on demand with the system C compiler via :mod:`cffi`'s ABI mode.
+implementation of the loop — the only array-level implementation, a
+replay of the scalar engine (:meth:`repro.sim.gpu.GpuSimulator._run_scalar`
+and :class:`repro.sim.memctrl.MemoryController`) over the
+structure-of-arrays produced by ``compile_streams`` — and compiles it on
+demand with the system C compiler via :mod:`cffi`'s ABI mode.
 
 Determinism and exactness:
 
@@ -14,19 +15,18 @@ Determinism and exactness:
   the scalar engine's Python expressions one for one (same additions,
   same ``max`` comparisons, same truncation points).  x86-64 C doubles
   use SSE2 and the build passes ``-ffp-contract=off``, so no
-  fused-multiply-add or extended precision can creep in: the C kernel,
-  the Python fallback, and the scalar engine produce bit-identical
-  cycle counts.
+  fused-multiply-add or extended precision can creep in: the C kernel
+  and the scalar engine produce bit-identical cycle counts.
 * Integer math (addresses, counter values, set indices) is ``int64_t``
   with non-negative operands, where C ``/``/``%`` agree with Python
   ``//``/``%``.
 
 Availability is best-effort: no compiler, no cffi, or a failed build
-simply leaves :func:`load` returning ``None`` and the vector backend
-falls back to its pure-Python loop (identical results, just slower).
-Set ``REPRO_SIM_NATIVE=0`` to force the fallback; the compiled library
-is cached by source hash under ``$REPRO_SIMKERNEL_CACHE`` (default: a
-``repro-simkernel`` directory in the system temp dir).
+simply leaves :func:`load` returning ``None``, and a vector-requested run
+uses the scalar engine instead (identical results, slower; recorded as
+``sim.backend.scalar``).  The compiled library is cached by source hash
+under ``$REPRO_SIMKERNEL_CACHE`` (default: a ``repro-simkernel`` directory
+in the system temp dir).
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ import threading
 from pathlib import Path
 
 __all__ = ["load", "SIGNATURE"]
-
-#: Env var: set to ``0`` to disable the native kernel (forces the
-#: pure-Python vector loop; results are identical either way).
-ENV_NATIVE = "REPRO_SIM_NATIVE"
 
 #: Env var overriding where compiled kernels are cached.
 ENV_CACHE = "REPRO_SIMKERNEL_CACHE"
@@ -85,7 +81,7 @@ _SOURCE = r"""
 #include <string.h>
 
 /* One channel's counter cache: set-associative LRU, exact model of
- * repro.crypto.counter_cache.CounterCache (access_run path).  Ways are
+ * repro.crypto.counter_cache.CounterCache (per-line access path).  Ways are
  * fixed slots; `order` holds the LRU->MRU permutation per set.  Line
  * counters live in a dense [assoc][lines_per_block] array (line
  * addresses are aligned multiples of line_bytes, validated on import);
@@ -164,9 +160,11 @@ static int64_t cache_reencrypt(Cache *ca, int64_t block, int64_t set,
     return base;
 }
 
-/* CounterCache.access_run: one batched lookup covering `nlines`
- * consecutive line accesses inside one counter block; `addrs` carries
- * the per-line data addresses for write runs (NULL = read run). */
+/* `nlines` consecutive CounterCache.access calls inside one counter
+ * block as one batched lookup: only the first can miss (the block is
+ * resident afterwards), so statistics, LRU order and counters match the
+ * per-line sequence.  `addrs` carries the per-line data addresses for
+ * write runs (NULL = read run).  Returns whether the first access hit. */
 static int cache_access_run(Cache *ca, int64_t block, int64_t nlines,
                             const int64_t *addrs, int64_t naddrs) {
     int64_t set = block % ca->num_sets;
@@ -552,7 +550,7 @@ def _build(cc: str, cache_dir: Path, digest: str) -> Path:
             "-fPIC",
             "-shared",
             # No FMA contraction / extended precision: the kernel must be
-            # bit-identical to the Python engines.
+            # bit-identical to the scalar engine.
             "-ffp-contract=off",
             "-o",
             str(scratch),
@@ -569,16 +567,14 @@ def load():
     """Compile (once) and dlopen the kernel; returns (ffi, lib) or None.
 
     Never raises: any failure (no cffi, no compiler, sandboxed tmp, bad
-    toolchain) disables the native path for the process and the caller
-    uses the pure-Python loop instead.
+    toolchain) disables the native path for the process, and
+    :class:`repro.sim.gpu.GpuSimulator` runs the scalar engine instead.
     """
     global _cached, _attempted
     with _lock:
         if _attempted:
             return _cached
         _attempted = True
-        if os.environ.get(ENV_NATIVE, "").strip() == "0":
-            return None
         try:
             import cffi
 

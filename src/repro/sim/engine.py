@@ -9,9 +9,11 @@ the ``vector`` backend of the same simulation: it **compiles** the per-SM
 step streams into flat structure-of-arrays primitives up front (NumPy bulk
 math for the address decode, server occupancies, line/counter-block
 geometry, and every order-independent statistic), then advances the event
-loop over those arrays — through the cc-compiled kernel of
-:mod:`repro.sim._native` when a C toolchain is available, or an equivalent
-pure-Python loop otherwise — with no per-request object traffic either way.
+loop over those arrays in the cc-compiled kernel of :mod:`repro.sim._native`,
+with no per-request object traffic.  The C source is the only array-level
+implementation of the loop: when it cannot run (no C toolchain, or a
+counter-cache state it cannot represent), :func:`_run_python` runs the
+scalar engine instead and the run records ``sim.backend.scalar``.
 The lowering (:mod:`repro.sim.workloads`) already emits its streams as
 flat arrays (:class:`~repro.sim.sm.LoweredStreams`), so no request object
 exists anywhere on this path; only hand-built or trace-loaded
@@ -36,8 +38,7 @@ Two design rules make the backend trustworthy:
 Backend selection mirrors :mod:`repro.crypto.fastpath`: consumers take
 ``backend="scalar" | "vector" | None``; ``None`` defers to the
 :data:`ENV_VAR` environment variable (``REPRO_SIM_BACKEND``) and finally to
-:data:`DEFAULT_BACKEND` (``vector``).  Within the vector backend,
-``REPRO_SIM_NATIVE=0`` forces the pure-Python loop (results unchanged).
+:data:`DEFAULT_BACKEND` (``vector``).
 
 >>> resolve_sim_backend("scalar")
 'scalar'
@@ -45,7 +46,6 @@ Backend selection mirrors :mod:`repro.crypto.fastpath`: consumers take
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -267,10 +267,9 @@ def compile_streams(
     # lines by covering counter block.  The scalar engine looks the cache
     # up once per line; within one block only the *first* of those
     # consecutive lookups can miss (the block is resident afterwards and
-    # nothing intervenes), so the vector engine performs one batched
-    # lookup per run — CounterCache.access_run keeps statistics and LRU
-    # state identical.  All ragged structure is built with cumsum/repeat
-    # idioms; no per-request Python.
+    # nothing intervenes), so the native kernel performs one batched
+    # lookup per run with identical statistics and LRU state.  All ragged
+    # structure is built with cumsum/repeat idioms; no per-request Python.
     run_start = np.zeros(n, dtype=_I64)
     run_count = np.zeros(n, dtype=_I64)
     run_block = run_lines = run_bank = run_row = _EMPTY_I64
@@ -381,16 +380,15 @@ def run_vector(
     config: GpuConfig,
     controllers: list[MemoryController],
     compiled: CompiledKernel,
-) -> tuple[float, list[SmState]]:
-    """Execute a compiled kernel on the vector backend; returns (finish,
-    SM states).
+) -> tuple[float, list[SmState]] | None:
+    """Execute compiled streams in the native kernel; returns (finish,
+    SM states), or ``None`` if the kernel cannot run them.
 
     Mutates ``controllers`` (server clocks, statistics, counter caches) the
     same way a scalar run would, so the caller's collection and tracing
-    paths are backend-agnostic.  Dispatches to the native kernel when it is
-    loadable and the cache state is representable there, otherwise to the
-    pure-Python loop — both consume the same compiled arrays and produce
-    bit-identical results.
+    paths are backend-agnostic.  ``None`` means the kernel did not load or
+    :func:`_run_native` rejected the counter-cache state; nothing has been
+    mutated then, and the caller runs the scalar engine (:func:`_run_python`).
     """
     num_streams = len(compiled.sm_stats)
     if num_streams > config.num_sms:
@@ -398,12 +396,12 @@ def run_vector(
 
     from . import _native
 
-    outcome = None
     native = _native.load()
-    if native is not None:
-        outcome = _run_native(native, config, controllers, compiled)
+    if native is None:
+        return None
+    outcome = _run_native(native, config, controllers, compiled)
     if outcome is None:
-        outcome = _run_python(config, controllers, compiled)
+        return None
     finish, ready, cend, wdone, next_abs, counter_fetch = outcome
 
     # Static statistics and post-run conditional stat snapshots (the
@@ -451,7 +449,7 @@ def _run_native(native, config, controllers, compiled):
     block span that is a whole number of lines, and no functional
     re-encryption hook may be attached.  Anything else (including all
     non-counter modes) always qualifies.  The check never mutates state,
-    so the caller can fall back to the Python loop cleanly.
+    so the caller can fall back to the scalar engine cleanly.
     """
     ffi, lib = native
     channels = config.num_channels
@@ -741,272 +739,19 @@ def _run_native(native, config, controllers, compiled):
 
 
 # ----------------------------------------------------------------------
-# Pure-Python fallback loop
+# Fallback
 # ----------------------------------------------------------------------
 
-def _run_python(config, controllers, compiled):
-    """Event loop over the compiled arrays without the native kernel.
+def _run_python(simulator, streams, label=""):
+    """Run a vector-requested kernel on the scalar engine instead.
 
-    Identical schedule and arithmetic — this is the loop the C kernel is a
-    transliteration of — so results do not depend on which one ran.
+    :meth:`GpuSimulator.run <repro.sim.gpu.GpuSimulator.run>` calls this,
+    and only this, when the native kernel cannot run: :func:`_native.load
+    <repro.sim._native.load>` returned ``None`` (no cffi, no compiler, or a
+    failed build), or :func:`_run_native` rejected the counter-cache
+    state.  ``streams`` is the :class:`TileStep` view of the same streams,
+    so the result is the scalar engine's, bit for bit.  It stays a
+    module-level name so a harness can count fallbacks by wrapping it:
+    ``perfbench/probes.py`` does, and sim-fig7 fails any run that calls it.
     """
-    channels = config.num_channels
-    banks = config.banks_per_channel
-    dram_nf = [mc._dram.next_free for mc in controllers]
-    dram_busy = [mc._dram.busy for mc in controllers]
-    last_row: list[list[int]] = []
-    for mc in controllers:
-        rows = [-1] * banks
-        for bank_id, row_id in mc._last_row.items():
-            rows[bank_id] = row_id
-        last_row.append(rows)
-    engines = [mc.engine for mc in controllers]
-    eng_nf = [0.0 if eng is None else eng._next_free for eng in engines]
-    eng_busy = [0.0 if eng is None else eng.busy_cycles for eng in engines]
-    caches = [mc.counter_cache for mc in controllers]
-    counter_fetch = [0] * channels
-
-    penalty = config.row_miss_penalty_cycles
-    dram_latency = config.dram_latency_cycles
-    eng_latency = config.encryption.engine.latency_cycles
-    verify = config.encryption.mac_verify_cycles
-    block_occ = _COUNTER_BLOCK_BYTES / config.channel_bytes_per_cycle
-    auth = compiled.auth
-    cap = compiled.cap
-
-    # Per-request rows as tuples (one zip, no per-request math) plus the
-    # per-request run slices resolved against the flat run arrays.
-    n = compiled.num_requests
-    runs_list: list = [None] * n
-    if compiled.run_block.size:
-        rs = compiled.run_start.tolist()
-        rc = compiled.run_count.tolist()
-        blocks = compiled.run_block.tolist()
-        lines = compiled.run_lines.tolist()
-        rbanks = compiled.run_bank.tolist()
-        rrows = compiled.run_row.tolist()
-        astarts = compiled.run_addr_start.tolist()
-        addrs = compiled.run_addr.tolist()
-        is_read_l = compiled.is_read.tolist()
-        for i in np.nonzero(compiled.run_count)[0].tolist():
-            runs = []
-            for r in range(rs[i], rs[i] + rc[i]):
-                if is_read_l[i]:
-                    addresses = None
-                else:
-                    a0 = astarts[r]
-                    addresses = tuple(addrs[a0 : a0 + lines[r]])
-                runs.append((blocks[r], lines[r], rbanks[r], rrows[r], addresses))
-            runs_list[i] = runs
-    requests = list(
-        zip(
-            compiled.path.tolist(),
-            compiled.channel.tolist(),
-            compiled.occ_dram.tolist(),
-            compiled.bank.tolist(),
-            compiled.row.tolist(),
-            compiled.is_read.tolist(),
-            compiled.occ_engine.tolist(),
-            runs_list,
-            compiled.occ_mac.tolist(),
-            compiled.tag_bank.tolist(),
-            compiled.tag_row.tolist(),
-        )
-    )
-
-    def issue(lo: int, hi: int, when: float) -> float:
-        """Replay of ``GpuSimulator._issue`` + ``MemoryController.submit``
-        over compiled request rows (same wave chunking, same arithmetic,
-        same per-channel ordering — only the object traffic is gone)."""
-        done = when
-        for off in range(lo, hi, cap):
-            T = when if off == lo else done
-            wave_done = T
-            for path, c, occ_d, bank, row, is_read, occ_e, runs, occ_m, t_bank, t_row in requests[
-                off : min(off + cap, hi)
-            ]:
-                if path == _BYPASS:
-                    rows = last_row[c]
-                    if rows[bank] != row:
-                        rows[bank] = row
-                        arrival = T + penalty
-                    else:
-                        arrival = T
-                    nf = dram_nf[c]
-                    start = arrival if arrival > nf else nf
-                    nf = start + occ_d
-                    dram_nf[c] = nf
-                    dram_busy[c] += occ_d
-                    completion = nf + dram_latency
-                elif path == _COUNTER:
-                    available = T
-                    cache = caches[c]
-                    rows = last_row[c]
-                    for block_id, count, f_bank, f_row, addresses in runs:
-                        if not cache.access_run(block_id, count, addresses):
-                            if rows[f_bank] != f_row:
-                                rows[f_bank] = f_row
-                                arrival = T + penalty
-                            else:
-                                arrival = T
-                            nf = dram_nf[c]
-                            start = arrival if arrival > nf else nf
-                            nf = start + block_occ
-                            dram_nf[c] = nf
-                            dram_busy[c] += block_occ
-                            counter_fetch[c] += _COUNTER_BLOCK_BYTES
-                            fetched = nf + dram_latency
-                            if fetched > available:
-                                available = fetched
-                    nf = eng_nf[c]
-                    arrival = float(int(available))
-                    start = arrival if arrival > nf else nf
-                    nf = start + occ_e
-                    eng_nf[c] = nf
-                    eng_busy[c] += occ_e
-                    pad_done = int(nf + eng_latency)
-                    data_arrival = T if is_read else pad_done
-                    if rows[bank] != row:
-                        rows[bank] = row
-                        data_arrival = data_arrival + penalty
-                    nf = dram_nf[c]
-                    start = data_arrival if data_arrival > nf else nf
-                    nf = start + occ_d
-                    dram_nf[c] = nf
-                    dram_busy[c] += occ_d
-                    data_done = nf + dram_latency
-                    if is_read:
-                        completion = (
-                            data_done if data_done > pad_done else pad_done
-                        ) + 1.0
-                    else:
-                        completion = data_done
-                else:  # _DIRECT
-                    rows = last_row[c]
-                    if is_read:
-                        if rows[bank] != row:
-                            rows[bank] = row
-                            arrival = T + penalty
-                        else:
-                            arrival = T
-                        nf = dram_nf[c]
-                        start = arrival if arrival > nf else nf
-                        nf = start + occ_d
-                        dram_nf[c] = nf
-                        dram_busy[c] += occ_d
-                        data_done = nf + dram_latency
-                        nf = eng_nf[c]
-                        arrival = float(int(data_done))
-                        start = arrival if arrival > nf else nf
-                        nf = start + occ_e
-                        eng_nf[c] = nf
-                        eng_busy[c] += occ_e
-                        completion = int(nf + eng_latency)
-                    else:
-                        nf = eng_nf[c]
-                        arrival = float(int(T))
-                        start = arrival if arrival > nf else nf
-                        nf = start + occ_e
-                        eng_nf[c] = nf
-                        eng_busy[c] += occ_e
-                        cipher_done = int(nf + eng_latency)
-                        if rows[bank] != row:
-                            rows[bank] = row
-                            arrival = cipher_done + penalty
-                        else:
-                            arrival = cipher_done
-                        nf = dram_nf[c]
-                        start = arrival if arrival > nf else nf
-                        nf = start + occ_d
-                        dram_nf[c] = nf
-                        dram_busy[c] += occ_d
-                        completion = nf + dram_latency
-                if auth and path:
-                    rows = last_row[c]
-                    tag_arrival = T if is_read else completion
-                    if rows[t_bank] != t_row:
-                        rows[t_bank] = t_row
-                        tag_arrival = tag_arrival + penalty
-                    nf = dram_nf[c]
-                    start = tag_arrival if tag_arrival > nf else nf
-                    nf = start + occ_m
-                    dram_nf[c] = nf
-                    dram_busy[c] += occ_m
-                    tag_done = nf + dram_latency
-                    if is_read:
-                        completion = (
-                            completion if completion > tag_done else tag_done
-                        ) + verify
-                    else:
-                        completion = tag_done
-                if completion > wave_done:
-                    wave_done = completion
-            done = wave_done
-        return done
-
-    # The event loop: jump from one scheduled event to the next.
-    step_cc = compiled.step_cycles.tolist()
-    step_rs = compiled.step_read_start.tolist()
-    step_re = compiled.step_read_end.tolist()
-    step_ws = compiled.step_write_start.tolist()
-    step_we = compiled.step_write_end.tolist()
-    sm_start = compiled.sm_step_start.tolist()
-    sm_end = compiled.sm_step_end.tolist()
-    count = len(sm_start)
-    ready_time = [0.0] * count
-    compute_end = [0.0] * count
-    write_done = [0.0] * count
-    next_abs = list(sm_start)
-    heap: list[tuple[float, int]] = []
-    for sm_id in range(count):
-        first_step = sm_start[sm_id]
-        if first_step >= sm_end[sm_id]:
-            continue
-        ready = issue(step_rs[first_step], step_re[first_step], 0.0)
-        ready_time[sm_id] = ready
-        heapq.heappush(heap, (ready if ready > 0.0 else 0.0, sm_id))
-
-    finish = 0.0
-    while heap:
-        start, sm_id = heapq.heappop(heap)
-        step = next_abs[sm_id]
-        end = start + step_cc[step]
-        if step_ws[step] < step_we[step]:
-            done = issue(step_ws[step], step_we[step], end)
-            if done > write_done[sm_id]:
-                write_done[sm_id] = done
-        compute_end[sm_id] = end
-        step += 1
-        next_abs[sm_id] = step
-        if step < sm_end[sm_id]:
-            ready = issue(step_rs[step], step_re[step], start)
-            ready_time[sm_id] = ready
-            heapq.heappush(heap, (ready if ready > end else end, sm_id))
-        else:
-            if end > finish:
-                finish = end
-            if write_done[sm_id] > finish:
-                finish = write_done[sm_id]
-
-    for sm_id in range(count):
-        if compute_end[sm_id] > finish:
-            finish = compute_end[sm_id]
-        if write_done[sm_id] > finish:
-            finish = write_done[sm_id]
-
-    # Write the timing state back into the controller objects.
-    for c, mc in enumerate(controllers):
-        server = mc._dram
-        server.next_free = dram_nf[c]
-        server.busy = dram_busy[c]
-        mc._last_row = {
-            bank_id: row_id
-            for bank_id, row_id in enumerate(last_row[c])
-            if row_id >= 0
-        }
-        engine = engines[c]
-        if engine is not None:
-            engine._next_free = eng_nf[c]
-            engine.busy_cycles = eng_busy[c]
-
-    return finish, ready_time, compute_end, write_done, next_abs, counter_fetch
+    return simulator._run_scalar(streams, label)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer, instrument
 from .config import EncryptionMode, GpuConfig
-from . import engine
-from .engine import CompiledKernel, resolve_sim_backend
+from . import _native, engine
+from .engine import resolve_sim_backend
 from .memctrl import MemoryController
 from .request import MemRequest
 from .sm import LoweredStreams, SmState, SmStats, TileStep
@@ -119,28 +119,48 @@ class GpuSimulator:
 
         Two stages, each with its own span and metrics timer:
         ``sim.compile`` turns the streams into the engine's input
-        (:func:`repro.sim.engine.compile_streams` on the vector backend,
-        the materialised :class:`TileStep` lists on the scalar one), and
-        ``sim.kernel`` times the event simulation alone.
+        (:func:`repro.sim.engine.compile_streams` for the native kernel,
+        the materialised :class:`TileStep` lists for the scalar engine),
+        and ``sim.kernel`` times the event simulation alone.
+
+        A vector-requested run uses the scalar engine when the native
+        kernel cannot run: :func:`repro.sim._native.load` returned
+        ``None``, or the kernel rejected the counter-cache state.  The
+        ``sim.backend.<name>`` counter and the span's ``sim_backend``
+        attribute name the engine that ran.
         """
         metrics = get_metrics()
         metrics.count("sim.kernel_runs")
-        metrics.count(f"sim.backend.{self.backend}")
+        native = self.backend == "vector" and _native.load() is not None
         with instrument("sim.compile"):
-            if self.backend == "vector":
+            if native:
                 # Looked up on the module so wrappers installed there apply.
                 program = engine.compile_streams(self.config, streams)
             else:
                 program = [list(stream) for stream in streams]
         wall_start = time.time()
         with instrument("sim.kernel") as span:
-            result = self._run(program, label)
+            outcome = (
+                engine.run_vector(self.config, self.controllers, program)
+                if native
+                else None
+            )
+            if outcome is not None:
+                result = self._collect(label, *outcome)
+            elif self.backend == "vector":
+                result = engine._run_python(self, streams, label)
+            else:
+                result = self._run_scalar(program, label)
+        ran = "scalar" if outcome is None else "vector"
+        metrics.count(f"sim.backend.{ran}")
         if span:
-            self._annotate_span(span, result, wall_start)
+            self._annotate_span(span, result, wall_start, ran)
         metrics.count("sim.data_bytes", result.data_bytes)
         return result
 
-    def _annotate_span(self, span, result: SimResult, wall_start: float) -> None:
+    def _annotate_span(
+        self, span, result: SimResult, wall_start: float, backend: str
+    ) -> None:
         """Attach the kernel's attrs, AES-engine occupancy and counter-cache
         events, and per-SM occupancy child spans (tracing-enabled only).
 
@@ -154,7 +174,7 @@ class GpuSimulator:
         span.set_attr("cycles", result.cycles)
         span.set_attr("instructions", result.instructions)
         span.set_attr("encryption", self.config.encryption.mode.name)
-        span.set_attr("sim_backend", self.backend)
+        span.set_attr("sim_backend", backend)
         span.set_attr("dram_utilization", round(result.dram_utilization, 6))
         for controller in self.controllers:
             for name, attrs in controller.trace_events(result.cycles):
@@ -176,15 +196,9 @@ class GpuSimulator:
                 parent=span,
             )
 
-    def _run(
-        self, program: CompiledKernel | list[list[TileStep]], label: str = ""
+    def _run_scalar(
+        self, streams: Sequence[Sequence[TileStep]], label: str = ""
     ) -> SimResult:
-        if self.backend == "vector":
-            finish_time, sms = engine.run_vector(self.config, self.controllers, program)
-            return self._collect(label, finish_time, sms)
-        return self._run_scalar(program, label)
-
-    def _run_scalar(self, streams: list[list[TileStep]], label: str = "") -> SimResult:
         if len(streams) > self.config.num_sms:
             raise ValueError(
                 f"{len(streams)} streams for {self.config.num_sms} SMs"

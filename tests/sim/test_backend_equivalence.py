@@ -6,8 +6,10 @@ controller statistics, counter-cache statistics **and internal state**
 (LRU order, per-line counters, backing store), and the ``sim.*`` metrics
 counters.  This suite pins that contract over the golden IPC workloads
 and over randomized configurations (SM counts, encryption ratios,
-channel/engine counts, tile sizes), and separately pins the vector
-backend's pure-Python fallback loop against the native kernel path.
+channel/engine counts, tile sizes).  It also pins the fallback: when the
+native kernel cannot run (a broken toolchain, or a counter cache it cannot
+represent), a vector-requested run is the scalar engine, recorded as
+``sim.backend.scalar``.
 """
 
 import math
@@ -22,7 +24,7 @@ from repro.core.plan import LayerTraffic, ModelEncryptionPlan
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.sim import _native
+from repro.sim import _native, engine
 from repro.sim.gpu import GpuSimulator
 from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
@@ -261,13 +263,41 @@ class TestMetricsCounters:
         assert counters.get("sim.backend.vector") == 1
 
 
-class TestPythonFallback:
-    """REPRO_SIM_NATIVE=0 pins the pure-Python vector loop; it must agree
-    with the scalar engine (and therefore with the native kernel) exactly."""
+@pytest.fixture()
+def recorded(monkeypatch):
+    """A fresh metrics registry, plus the labels ``engine._run_python``
+    (the one fallback call site) was called with."""
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    calls = []
+    fallback = engine._run_python
+
+    def counted(simulator, streams, label=""):
+        calls.append(label)
+        return fallback(simulator, streams, label)
+
+    monkeypatch.setattr(engine, "_run_python", counted)
+    yield registry, calls
+    set_metrics(previous)
+
+
+def _backend_counters(registry):
+    counters = registry.snapshot().get("counters") or {}
+    return {
+        name: value for name, value in counters.items() if name.startswith("sim.backend.")
+    }
+
+
+class TestScalarFallback:
+    """With no native kernel, a vector-requested run is the scalar engine:
+    the same state bit for bit, recorded as ``sim.backend.scalar``.  The
+    toolchain is broken for real (``CC=false`` and an empty kernel cache),
+    not switched off by a knob."""
 
     @pytest.fixture()
-    def no_native(self, monkeypatch):
-        monkeypatch.setenv(_native.ENV_NATIVE, "0")
+    def no_native(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv(_native.ENV_CACHE, str(tmp_path / "simkernel"))
         monkeypatch.setattr(_native, "_attempted", False)
         monkeypatch.setattr(_native, "_cached", None)
         yield
@@ -278,7 +308,55 @@ class TestPythonFallback:
         assert _native.load() is None
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_fallback_identical_to_scalar(self, no_native, scheme):
+    def test_fallback_identical_to_scalar(self, no_native, recorded, scheme):
+        registry, calls = recorded
         traffic = synthetic_layer("fc", 128, 96, 48, 0.6)
         config = scheme_config(scheme, counter_cache_kb=24)
-        assert_backends_identical(config, traffic, scheme, repeats=2)
+        _, states_v = run_one(config, traffic, scheme, "vector", repeats=2)
+        assert _backend_counters(registry) == {"sim.backend.scalar": 2}
+        assert len(calls) == 2
+        _, states_s = run_one(config, traffic, scheme, "scalar", repeats=2)
+        assert states_v == states_s
+
+
+class TestIneligibleCacheFallback:
+    """A counter cache the native kernel cannot represent (a functional
+    re-encryption hook is attached) sends a vector-requested run to the
+    scalar engine, even with a working toolchain."""
+
+    @staticmethod
+    def _run(config, backend, repeats=2):
+        simulator = GpuSimulator(config, backend=backend)
+        events = []
+        for mc in simulator.controllers:
+            mc.counter_cache._on_reencrypt = (
+                lambda *event, channel=mc.channel_id: events.append((channel, event))
+            )
+        tagged = tag_traffic(synthetic_layer("fc", 128, 96, 48, 0.6), config.encryption)
+        states = []
+        for _ in range(repeats):
+            streams = layer_streams(config, tagged, heap=SecureHeap())
+            result = simulator.run(streams, label="hooked")
+            states.append(full_state(simulator, result))
+        return states, events
+
+    def test_hooked_counter_cache_runs_scalar(self, recorded):
+        registry, calls = recorded
+        base = scheme_config("Counter", counter_cache_kb=24)
+        # One-bit minor counters wrap on every second write to a line, so
+        # the hook sees re-encryptions within two runs.
+        config = replace(
+            base,
+            encryption=replace(
+                base.encryption,
+                counter_cache=replace(
+                    base.encryption.counter_cache, minor_counter_bits=1
+                ),
+            ),
+        )
+        states_v, events_v = self._run(config, "vector")
+        assert _backend_counters(registry) == {"sim.backend.scalar": 2}
+        assert calls == ["hooked", "hooked"]
+        states_s, events_s = self._run(config, "scalar")
+        assert states_v == states_s
+        assert events_s and events_v == events_s
