@@ -1,11 +1,12 @@
 """Simulator throughput: scalar reference engine vs the vector backend,
-and the array lowering vs the frozen object lowering.
+the array lowering vs the frozen object lowering, and the planner and
+cache keys vs their frozen versions.
 
 The Figure 7 workload set (the paper's overall-IPC models at 32x32
 inputs, ratio 0.5, all five schemes) is lowered to step streams **once**,
 then the identical streams are replayed through both simulator backends
 (the scalar engine gets the materialised ``TileStep`` lists, built before
-the clock starts).  The recorded artefact pins two claims:
+the clock starts).  The recorded artefact pins three claims:
 
 * the vector backend (compiled structure-of-arrays event loop,
   :mod:`repro.sim.engine`) sustains at least **10x the simulated
@@ -15,11 +16,23 @@ the clock starts).  The recorded artefact pins two claims:
 * lowering plus ``compile_streams`` costs at least **10x fewer ns per
   memory request** with the array lowering (:mod:`repro.sim.workloads`)
   than with the object lowering it replaced
-  (``tests/sim/reference_lowering.py``).
+  (``tests/sim/reference_lowering.py``);
+* planning each Figure 7 model (the empty-batch dataflow probe and the
+  one-pass ℓ1 ranks) takes at least **2x less** wall time than the frozen
+  builder's batch-1 forward pass (``tests/core/reference_plan.py``).
+
+It also records the cache-key cost per unit against the frozen key
+(``tests/sim/reference_keys.py``).  The scalar leg records into its own
+metrics registry: it is the reference measurement, so the artefact's
+``sim.backend.*`` counters and ``sim_backend`` describe the vector leg
+alone and show whether it ran the native kernel.
 """
 
+import statistics
 import sys
 import time
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from repro.core.memory import SecureHeap
@@ -27,15 +40,22 @@ from repro.core.plan import ModelEncryptionPlan
 from repro.eval.reporting import ascii_table
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sim.engine import compile_streams
 from repro.sim.gpu import GpuSimulator
+from repro.sim.parallel import cache_key
 from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # repo root
+from tests.core.reference_plan import build_reference  # noqa: E402
 from tests.sim import reference_lowering  # noqa: E402
+from tests.sim.reference_keys import frozen_cache_key  # noqa: E402
 
 RATIO = 0.5
+FIG7_MODELS = ("vgg16", "resnet18", "resnet34")
+PLAN_REPEATS = 3
+KEY_PASSES = 10
 
 
 def _fig7_units(models):
@@ -96,9 +116,53 @@ def _throughput(backend, prepared):
     }
 
 
+def _plan_build_ms(models):
+    """Median ms to plan each model at ``RATIO``: the current planner and
+    the frozen builder, alternating on the same model object."""
+    builders = {
+        "current": ModelEncryptionPlan.build,
+        "reference": partial(build_reference, ModelEncryptionPlan),
+    }
+    costs = {}
+    for name in models:
+        set_init_rng(0)
+        model = build_model(name)
+        samples = {side: [] for side in builders}
+        for _ in range(PLAN_REPEATS):
+            for side, build in builders.items():
+                start = time.perf_counter()
+                build(model, RATIO, input_shape=(3, 32, 32))
+                samples[side].append(time.perf_counter() - start)
+        costs[name] = {
+            side: statistics.median(seconds) * 1e3 for side, seconds in samples.items()
+        }
+    return costs
+
+
+def _key_us_per_unit(units):
+    """Cache-key cost per unit, current and frozen, over repeated passes."""
+    costs = {}
+    for side, key in (("current", cache_key), ("reference", frozen_cache_key)):
+        start = time.perf_counter()
+        for _ in range(KEY_PASSES):
+            for config, traffic in units:
+                key(config, traffic)
+        costs[side] = (time.perf_counter() - start) / (KEY_PASSES * len(units)) * 1e6
+    return costs
+
+
+@contextmanager
+def _own_registry():
+    previous = set_metrics(MetricsRegistry())
+    try:
+        yield
+    finally:
+        set_metrics(previous)
+
+
 def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
     full = bench_scale == "full"
-    models = ("vgg16", "resnet18", "resnet34") if full else ("vgg16",)
+    models = FIG7_MODELS if full else ("vgg16",)
     units = _fig7_units(models)
     prepared = _prepare_units(units)
 
@@ -107,10 +171,10 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
     _throughput("vector", prepared)
 
     def sweep():
-        return {
-            backend: _throughput(backend, prepared)
-            for backend in ("vector", "scalar")
-        }
+        vector = _throughput("vector", prepared)
+        with _own_registry():
+            scalar = _throughput("scalar", prepared)
+        return {"vector": vector, "scalar": scalar}
 
     results = benchmark.pedantic(sweep, iterations=1, rounds=1)
     speedup = (
@@ -124,6 +188,11 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
     lowering_speedup = (
         lowering["reference"]["ns_per_request"] / lowering["array"]["ns_per_request"]
     )
+    plan_build_ms = _plan_build_ms(FIG7_MODELS)
+    plan_build_speedup = sum(c["reference"] for c in plan_build_ms.values()) / sum(
+        c["current"] for c in plan_build_ms.values()
+    )
+    key_us = _key_us_per_unit(units)
 
     rows = [
         (
@@ -154,7 +223,23 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
                 for cost in lowering.values()
             ],
         )
-        + f"\narray/reference lowering speedup: {lowering_speedup:.1f}x (floor: 10x)"
+        + f"\narray/reference lowering speedup: {lowering_speedup:.1f}x (floor: 10x)\n\n"
+        + f"plan build per Fig 7 model (median of {PLAN_REPEATS}, ratio {RATIO})\n"
+        + ascii_table(
+            ("model", "current ms", "reference ms", "speedup"),
+            [
+                (
+                    name,
+                    f"{cost['current']:.1f}",
+                    f"{cost['reference']:.1f}",
+                    f"{cost['reference'] / cost['current']:.1f}x",
+                )
+                for name, cost in plan_build_ms.items()
+            ],
+        )
+        + f"\nreference/current plan build: {plan_build_speedup:.1f}x (floor: 2x)\n"
+        + f"cache key per unit: {key_us['current']:.1f} us "
+        + f"(reference {key_us['reference']:.1f} us)"
     )
     record_report("sim_throughput", report)
     record_metrics(
@@ -167,6 +252,9 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
             "speedup": speedup,
             "lowering": lowering,
             "lowering_speedup": lowering_speedup,
+            "plan_build_ms": plan_build_ms,
+            "plan_build_speedup": plan_build_speedup,
+            "key_us_per_unit": key_us,
         },
     )
 
@@ -180,3 +268,4 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
     # Both lowerings feed compile_streams the same requests.
     assert lowering["reference"]["requests"] == lowering["array"]["requests"]
     assert lowering_speedup >= 10.0, f"array lowering only {lowering_speedup:.1f}x"
+    assert plan_build_speedup >= 2.0, f"plan build only {plan_build_speedup:.1f}x"

@@ -72,10 +72,11 @@ def record_metrics(request):
     The callable merges the process-wide registry snapshot (counters,
     timers, cache hit rate) with an optional per-benchmark ``payload`` of
     JSON-serialisable result data, and returns the written path.
+    ``sim_backend`` names the simulator engine(s) the counters show ran
+    (``None`` when no kernel ran), not the backend requested.
     """
     from repro.crypto.fastpath import resolve_backend
-    from repro.obs.metrics import get_metrics
-    from repro.sim.engine import resolve_sim_backend
+    from repro.obs.metrics import get_metrics, sim_backends_ran
 
     out_option = request.config.getoption("--metrics-out")
     out_dir = Path(out_option) if out_option else OUT_DIR
@@ -85,7 +86,7 @@ def record_metrics(request):
         document = get_metrics().snapshot()
         document["benchmark"] = name
         document["crypto_backend"] = resolve_backend()
-        document["sim_backend"] = resolve_sim_backend()
+        document["sim_backend"] = sim_backends_ran(document["counters"])
         if payload:
             document["payload"] = payload
         path = out_dir / f"BENCH_{name}.json"

@@ -31,7 +31,7 @@ import enum
 import hashlib
 import json
 
-__all__ = ["canonical_encode", "content_key"]
+__all__ = ["canonical_encode", "canonical_json", "content_key"]
 
 
 def canonical_encode(value: object) -> object:
@@ -50,8 +50,13 @@ def canonical_encode(value: object) -> object:
     return value
 
 
+def canonical_json(value: object) -> str:
+    """The compact, key-sorted JSON text :func:`content_key` hashes."""
+    return json.dumps(
+        canonical_encode(value), sort_keys=True, separators=(",", ":"), default=repr
+    )
+
+
 def content_key(payload: object) -> str:
     """sha256 hex digest of the canonical JSON encoding of ``payload``."""
-    encoded = canonical_encode(payload)
-    blob = json.dumps(encoded, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

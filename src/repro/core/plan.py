@@ -22,13 +22,17 @@ encryption can only grow, so the invariant and the security argument are
 preserved (the realised ratio may exceed ``r`` slightly; ``realized_ratio``
 reports it).
 
-The planner discovers the dataflow by running one traced forward pass
-(:class:`repro.nn.layers.trace_dataflow`), so it works on any model built
-from the :mod:`repro.nn` layer library without manual annotation.
+The planner discovers the dataflow by tracing one forward pass of an
+*empty* batch (:func:`repro.nn.layers.probe_dataflow` over a ``(0, C, H,
+W)`` probe), so it works on any model built from the :mod:`repro.nn` layer
+library without manual annotation, and it learns tensor identities and
+shapes without computing a single activation.  Shapes are recorded at
+batch 1, the unit :meth:`ModelEncryptionPlan.layer_traffic` scales.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +48,8 @@ from ..nn.layers import (
     MaxPool2d,
     Module,
     ReLU,
-    trace_dataflow,
+    probe_dataflow,
 )
-from ..nn.tensor import Tensor, no_grad
 from .importance import fc_row_l1, kernel_row_l1, select_encrypted_rows
 
 __all__ = [
@@ -247,6 +250,11 @@ def _is_leaf(module: Module) -> bool:
     )
 
 
+def _at_batch_one(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """A probe tensor's shape at batch 1 (the probe batch is empty)."""
+    return (1, *shape[1:])
+
+
 def _channels_of(shape: tuple[int, ...]) -> int:
     if len(shape) >= 2:
         return shape[1]
@@ -297,10 +305,7 @@ class ModelEncryptionPlan:
         if not 0.0 <= ratio <= 1.0:
             raise PlanError(f"ratio must be in [0, 1], got {ratio}")
 
-        model.eval()
-        with trace_dataflow() as log, no_grad():
-            probe = Tensor(np.zeros((1, *input_shape), dtype=np.float32))
-            final_out = model(probe)
+        log, probe, final_out = probe_dataflow(model, input_shape)
 
         groups = _UnionFind()
         module_names = {id(m): name for name, m in model.named_modules()}
@@ -351,11 +356,7 @@ class ModelEncryptionPlan:
                 continue
             module, x, out = record
             if isinstance(module, Flatten):
-                n, *rest = x.shape
-                channels = rest[0]
-                factor = int(np.prod(rest[1:])) if len(rest) > 1 else 1
-                flatten_factor[groups.find(id(out))] = factor
-                _ = channels
+                flatten_factor[groups.find(id(out))] = math.prod(x.shape[2:])
             elif isinstance(module, GlobalAvgPool2d):
                 flatten_factor[groups.find(id(out))] = 1
 
@@ -394,8 +395,8 @@ class ModelEncryptionPlan:
                     channel_group=channel_group,
                     in_group=in_group,
                     out_group=out_group,
-                    in_shape=tuple(x.shape),
-                    out_shape=tuple(out.shape),
+                    in_shape=_at_batch_one(x.shape),
+                    out_shape=_at_batch_one(out.shape),
                     weight_shape=tuple(module.weight.shape),
                     element_bytes=element_bytes,
                 )
@@ -487,8 +488,8 @@ class ModelEncryptionPlan:
                     index=index,
                     kernel_size=kernel,
                     group=groups.find(id(x)),
-                    in_shape=tuple(x.shape),
-                    out_shape=tuple(out.shape),
+                    in_shape=_at_batch_one(x.shape),
+                    out_shape=_at_batch_one(out.shape),
                     element_bytes=element_bytes,
                 )
             )

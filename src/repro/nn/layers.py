@@ -1,22 +1,28 @@
 """Layer/module abstraction on top of the autograd tensor.
 
 Modules record the shapes they last saw (``last_input_shape`` /
-``last_output_shape``) so the SEAL planner and the GPU trace generator can
-introspect a model's geometry after a single shape-probing forward pass.
+``last_output_shape``), and :class:`trace_dataflow` records every module
+call and residual add, so the SEAL planner and the geometry extractor can
+introspect a model from one shape-probing forward pass.  That probe runs
+on an empty batch ``(0, C, H, W)``: every layer here maps it to the right
+``(0, ...)`` output shape without computing an activation, so the recorded
+shapes carry batch 0 and callers read only their per-sample part.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "Module",
     "trace_dataflow",
+    "probe_dataflow",
     "Conv2d",
     "Linear",
     "BatchNorm2d",
@@ -49,6 +55,22 @@ class trace_dataflow:
     def __exit__(self, *exc_info: object) -> None:
         global _TRACE_LOG
         _TRACE_LOG = self._previous
+
+
+def probe_dataflow(
+    model: "Module", input_shape: tuple[int, ...]
+) -> tuple[list, Tensor, Tensor]:
+    """Trace ``model`` in eval mode on an empty ``(0, *input_shape)`` batch.
+
+    Returns the :class:`trace_dataflow` log, the probe input and the model
+    output.  The empty batch costs no arithmetic, yet every record carries
+    the real tensor identities and per-sample shapes (``shape[1:]``).
+    """
+    model.eval()
+    with trace_dataflow() as log, no_grad():
+        probe = Tensor(np.zeros((0, *input_shape), dtype=np.float32))
+        output = model(probe)
+    return log, probe, output
 
 
 class Module:
@@ -283,7 +305,8 @@ class GlobalAvgPool2d(Module):
 
 class Flatten(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
+        # An explicit width: ``-1`` cannot resolve on an empty batch.
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
 class Identity(Module):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .layers import (
     BasicBlock,
     BatchNorm2d,
@@ -25,6 +23,7 @@ from .layers import (
     Module,
     ReLU,
     Sequential,
+    probe_dataflow,
 )
 from .tensor import Tensor
 
@@ -256,12 +255,9 @@ class LayerGeometry:
 
 
 def probe_shapes(model: Module, input_shape: tuple[int, int, int] = (3, 32, 32)) -> None:
-    """Run one tiny forward pass so every module records its shapes."""
-    from .tensor import no_grad
-
-    model.eval()
-    with no_grad():
-        model(Tensor(np.zeros((1, *input_shape), dtype=np.float32)))
+    """Run the planner's empty-batch probe (:func:`probe_dataflow`) so every
+    module records its shapes; they carry batch 0, so read ``shape[1:]``."""
+    probe_dataflow(model, input_shape)
 
 
 def model_geometry(
@@ -271,9 +267,10 @@ def model_geometry(
 ) -> list[LayerGeometry]:
     """Extract per-layer geometry (conv/fc/pool) in execution order.
 
-    Performs a shape-probing forward pass, then walks the recorded shapes.
-    Layers appear in module pre-order, which for our Sequential-style models
-    coincides with execution order.
+    Runs :func:`probe_shapes` (an empty-batch forward pass), then walks the
+    per-sample part of the recorded shapes; ``batch`` sets the geometry's
+    batch.  Layers appear in module pre-order, which for our
+    Sequential-style models coincides with execution order.
     """
     from .layers import AvgPool2d, GlobalAvgPool2d as _GAP, Linear as _Linear, MaxPool2d as _MaxPool
 

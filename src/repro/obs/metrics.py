@@ -45,6 +45,7 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "reset_metrics",
+    "sim_backends_ran",
 ]
 
 #: Version tag written into every emitted metrics document.
@@ -495,3 +496,16 @@ def reset_metrics() -> MetricsRegistry:
     """Clear the process-wide registry (tests, CLI runs) and return it."""
     _GLOBAL.reset()
     return _GLOBAL
+
+
+def sim_backends_ran(counters: dict[str, int]) -> str | list[str] | None:
+    """The simulator engine(s) a snapshot's ``sim.backend.<name>`` counters
+    record: the one name, a sorted list when several ran, ``None`` when no
+    kernel ran.  Counted after each kernel, so a vector-requested run that
+    fell back to the scalar engine reads ``"scalar"``."""
+    ran = sorted(
+        name.removeprefix("sim.backend.")
+        for name, runs in counters.items()
+        if name.startswith("sim.backend.") and runs
+    )
+    return ran[0] if len(ran) == 1 else ran or None

@@ -30,12 +30,14 @@ field-for-field identical to a cold serial run (the golden suite in
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
-from ..core.keys import canonical_encode, content_key
+from ..core.keys import canonical_json
 from ..core.memory import SecureHeap
 from ..core.plan import LayerTraffic
 from ..faults import RetryPolicy, run_hardened
@@ -71,16 +73,29 @@ def cache_key(config: GpuConfig, traffic: LayerTraffic, tile: int = DEFAULT_TILE
     numbers, and excluding it is what lets repeated same-shape layers share
     one simulation.
     """
-    traffic_fields = canonical_encode(traffic)
-    assert isinstance(traffic_fields, dict)
-    traffic_fields.pop("name", None)
-    return content_key(
-        {
-            "config": canonical_encode(config),
-            "traffic": traffic_fields,
-            "tile": tile,
-        }
+    traffic_fields = {
+        f.name: getattr(traffic, f.name) for f in fields(traffic) if f.name != "name"
+    }
+    # The text content_key would hash for {"config", "tile", "traffic"}:
+    # its keys in sorted order around each value's canonical JSON.
+    blob = (
+        f'{{"config":{_config_json(config, repr(config))},'
+        f'"tile":{canonical_json(tile)},"traffic":{canonical_json(traffic_fields)}}}'
     )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=64)
+def _config_json(config: GpuConfig, spelling: str) -> str:
+    """A config's canonical JSON, encoded once per distinct config.
+
+    Every unit of a sweep carries one of a few equal configs, so the memo
+    turns the dominant cost of :func:`cache_key` into a lookup.
+    ``spelling`` is ``repr(config)``: configs that compare equal can still
+    encode differently (``1`` and ``1.0``, ``True`` and ``1``), so it keeps
+    those apart.
+    """
+    return canonical_json(config)
 
 
 # ----------------------------------------------------------------------

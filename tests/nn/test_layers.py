@@ -1,9 +1,12 @@
 """Module-system tests: parameter registration, modes, containers, blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.nn.layers import (
+    AvgPool2d,
     BasicBlock,
     BatchNorm2d,
     Conv2d,
@@ -15,10 +18,11 @@ from repro.nn.layers import (
     Module,
     ReLU,
     Sequential,
+    probe_dataflow,
     set_init_rng,
     trace_dataflow,
 )
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 def small_input(channels=3, size=8, batch=2):
@@ -115,6 +119,58 @@ class TestShapes:
         conv(small_input())
         assert conv.last_input_shape == (2, 3, 8, 8)
         assert conv.last_output_shape == (2, 4, 8, 8)
+
+
+class TestEmptyBatch:
+    """The planner's probe: an empty batch maps to the right ``(0, ...)``
+    shape through every layer, with no NumPy warning on the way."""
+
+    @pytest.mark.parametrize(
+        "module, in_shape, out_shape",
+        [
+            (Conv2d(3, 16, 3, stride=2, padding=1), (0, 3, 8, 8), (0, 16, 4, 4)),
+            (Conv2d(3, 4, 1, bias=False), (0, 3, 5, 5), (0, 4, 5, 5)),
+            (BatchNorm2d(3).eval(), (0, 3, 8, 8), (0, 3, 8, 8)),
+            (MaxPool2d(2), (0, 3, 8, 8), (0, 3, 4, 4)),
+            (AvgPool2d(3, stride=2), (0, 3, 9, 9), (0, 3, 4, 4)),
+            (GlobalAvgPool2d(), (0, 3, 8, 8), (0, 3)),
+            (Flatten(), (0, 3, 8, 8), (0, 192)),
+            (Flatten(), (0, 7), (0, 7)),
+            (Linear(8, 3), (0, 8), (0, 3)),
+            (ReLU(), (0, 3, 8, 8), (0, 3, 8, 8)),
+            (BasicBlock(4, 8, stride=2).eval(), (0, 4, 8, 8), (0, 8, 4, 4)),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Module) else None,
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shapes_without_warnings(self, module, in_shape, out_shape, dtype):
+        with warnings.catch_warnings(), no_grad():
+            warnings.simplefilter("error")
+            out = module(Tensor(np.zeros(in_shape, dtype=dtype)))
+        assert out.shape == out_shape
+        assert module.last_input_shape == in_shape
+        assert module.last_output_shape == out_shape
+
+    def test_flatten_matches_the_inferred_reshape(self):
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 5, 6)), requires_grad=True)
+        out = Flatten()(x)
+        assert out.shape == (3, 120)
+        np.testing.assert_array_equal(out.data, x.data.reshape(3, -1))
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.ones(x.shape))
+
+    def test_probe_dataflow_traces_an_empty_batch(self):
+        model = Sequential(Conv2d(3, 4, 3, padding=1), BatchNorm2d(4), ReLU(), Flatten())
+        model.train()
+        log, probe, output = probe_dataflow(model, (3, 8, 8))
+        assert probe.shape == (0, 3, 8, 8)
+        assert output.shape == (0, 4 * 64)
+        assert [type(record[0]).__name__ for record in log] == [
+            "Conv2d", "BatchNorm2d", "ReLU", "Flatten", "Sequential"
+        ]
+        assert log[0][1] is probe and log[-1][2] is output
+        assert not model.training  # batch norm must not average an empty batch
+        np.testing.assert_array_equal(model.layers[1].running_mean, np.zeros(4))
 
 
 class TestSequential:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.nn import models as models_module
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.models import (
+    MODEL_BUILDERS,
     LayerGeometry,
     build_model,
     model_geometry,
@@ -131,7 +133,23 @@ class TestGeometry:
     def test_probe_shapes_populates(self):
         model = resnet18(width_scale=0.125)
         probe_shapes(model)
-        assert model.stem_conv.last_output_shape is not None
+        assert model.stem_conv.last_output_shape == (0, 8, 32, 32)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_geometry_equals_the_batch_one_forward_pass(self, name, monkeypatch):
+        """The empty-batch probe yields the geometry the batch-1 forward
+        pass ``probe_shapes`` ran before did (that pass, frozen here)."""
+
+        def batch_one_probe(model, input_shape=(3, 32, 32)):
+            model.eval()
+            with no_grad():
+                model(Tensor(np.zeros((1, *input_shape), dtype=np.float32)))
+
+        model = build_model(name)
+        geometry = model_geometry(model, batch=2)
+        monkeypatch.setattr(models_module, "probe_shapes", batch_one_probe)
+        assert model_geometry(model, batch=2) == geometry
+        assert "fc" in {g.kind for g in geometry}
 
     def test_resnet_geometry_includes_gap(self):
         geometry = model_geometry(resnet18(width_scale=0.125))

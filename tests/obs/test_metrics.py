@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.obs.metrics import RESERVOIR_SIZE, MetricsRegistry, TimerStat
+from repro.obs.metrics import RESERVOIR_SIZE, MetricsRegistry, TimerStat, sim_backends_ran
 
 from .reference_derived import reference_derived
 
@@ -231,3 +231,24 @@ class TestDerivedTable:
         snapshot = registry.snapshot()
         expected = reference_derived(snapshot["counters"], snapshot["timers"])
         assert list(snapshot["derived"].items()) == list(expected.items())
+
+
+class TestSimBackendsRan:
+    @pytest.mark.parametrize(
+        "counters, expected",
+        [
+            ({}, None),
+            ({"sim.kernel_runs": 3, "crypto.backend.vector": 2}, None),
+            ({"sim.backend.vector": 810}, "vector"),
+            ({"sim.backend.scalar": 25, "sim.kernel_runs": 25}, "scalar"),
+            ({"sim.backend.vector": 2, "sim.backend.scalar": 1}, ["scalar", "vector"]),
+            ({"sim.backend.vector": 0, "sim.backend.scalar": 4}, "scalar"),
+        ],
+    )
+    def test_names_the_engines_that_ran(self, counters, expected):
+        assert sim_backends_ran(counters) == expected
+
+    def test_reads_a_registry_snapshot(self):
+        registry = MetricsRegistry()
+        registry.count("sim.backend.scalar")
+        assert sim_backends_ran(registry.snapshot()["counters"]) == "scalar"
