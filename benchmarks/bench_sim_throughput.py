@@ -22,12 +22,16 @@ the clock starts).  The recorded artefact pins three claims:
   builder's batch-1 forward pass (``tests/core/reference_plan.py``).
 
 It also records the cache-key cost per unit against the frozen key
-(``tests/sim/reference_keys.py``).  The scalar leg records into its own
+(``tests/sim/reference_keys.py``), and the p50/p90 wall time of
+``simulate_unit`` per scheme over the Figure 7 units as
+``compare_schemes`` runs them (the median of a few passes per unit), so
+the counter-mode tail shows per scheme.  The scalar leg records into its own
 metrics registry: it is the reference measurement, so the artefact's
 ``sim.backend.*`` counters and ``sim_backend`` describe the vector leg
 alone and show whether it ran the native kernel.
 """
 
+import math
 import statistics
 import sys
 import time
@@ -41,10 +45,11 @@ from repro.eval.reporting import ascii_table
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.sim import parallel
 from repro.sim.engine import compile_streams
 from repro.sim.gpu import GpuSimulator
 from repro.sim.parallel import cache_key
-from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
+from repro.sim.runner import SCHEMES, compare_schemes, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # repo root
@@ -56,6 +61,7 @@ RATIO = 0.5
 FIG7_MODELS = ("vgg16", "resnet18", "resnet34")
 PLAN_REPEATS = 3
 KEY_PASSES = 10
+UNIT_PASSES = 3
 
 
 def _fig7_units(models):
@@ -151,6 +157,54 @@ def _key_us_per_unit(units):
     return costs
 
 
+def _percentile(values, q):
+    """Nearest-rank percentile of a non-empty list."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
+def _unit_ms_by_scheme(models):
+    """p50/p90 ms of ``simulate_unit`` per scheme over the units that
+    ``compare_schemes`` simulates for ``models`` (each unit's median over
+    :data:`UNIT_PASSES` passes)."""
+    built = {}
+    for name in models:
+        set_init_rng(0)
+        built[name] = build_model(name)
+    # (model, unit label) -> seconds; layer names repeat across models.
+    samples: dict[tuple[str, str], list[float]] = {}
+    original = parallel.simulate_unit
+    current = [""]
+
+    def timed(unit):
+        start = time.perf_counter()
+        try:
+            return original(unit)
+        finally:
+            seconds = time.perf_counter() - start
+            samples.setdefault((current[0], unit.label), []).append(seconds)
+
+    parallel.simulate_unit = timed  # run_units looks it up per call
+    try:
+        for _ in range(UNIT_PASSES):
+            for name, model in built.items():
+                current[0] = name
+                compare_schemes(model, SCHEMES, ratio=RATIO, jobs=1, cache=False)
+    finally:
+        parallel.simulate_unit = original
+    by_scheme: dict[str, list[float]] = {scheme: [] for scheme in SCHEMES}
+    for (_, label), seconds in samples.items():
+        by_scheme[label.rsplit("/", 1)[1]].append(statistics.median(seconds) * 1e3)
+    return {
+        scheme: {
+            "units": len(ms),
+            "p50_ms": _percentile(ms, 0.5),
+            "p90_ms": _percentile(ms, 0.9),
+        }
+        for scheme, ms in by_scheme.items()
+    }
+
+
 @contextmanager
 def _own_registry():
     previous = set_metrics(MetricsRegistry())
@@ -193,6 +247,8 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
         c["current"] for c in plan_build_ms.values()
     )
     key_us = _key_us_per_unit(units)
+    with _own_registry():
+        unit_ms = _unit_ms_by_scheme(models)
 
     rows = [
         (
@@ -239,7 +295,16 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
         )
         + f"\nreference/current plan build: {plan_build_speedup:.1f}x (floor: 2x)\n"
         + f"cache key per unit: {key_us['current']:.1f} us "
-        + f"(reference {key_us['reference']:.1f} us)"
+        + f"(reference {key_us['reference']:.1f} us)\n\n"
+        + f"simulate_unit ms per scheme (compare_schemes units, "
+        + f"median of {UNIT_PASSES} passes per unit)\n"
+        + ascii_table(
+            ("scheme", "units", "p50 ms", "p90 ms"),
+            [
+                (scheme, cost["units"], f"{cost['p50_ms']:.2f}", f"{cost['p90_ms']:.2f}")
+                for scheme, cost in unit_ms.items()
+            ],
+        )
     )
     record_report("sim_throughput", report)
     record_metrics(
@@ -255,6 +320,7 @@ def test_sim_throughput(benchmark, record_report, record_metrics, bench_scale):
             "plan_build_ms": plan_build_ms,
             "plan_build_speedup": plan_build_speedup,
             "key_us_per_unit": key_us,
+            "unit_ms_by_scheme": unit_ms,
         },
     )
 

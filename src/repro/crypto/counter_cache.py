@@ -128,6 +128,14 @@ class CounterCache:
     on either crypto backend) can decrypt under the old counters and
     re-encrypt under ``new_base``, exactly what the hardware's
     re-encryption sweep does.
+
+    The set and backing-store state may be *deferred*: the simulator's
+    native kernel leaves it in dense arrays and hands the cache a loader
+    (:meth:`defer_state`).  The first read of ``_sets`` or ``_backing`` —
+    an ``access``, ``counter_of``, ``flush``, ``occupancy`` or the next
+    native run — calls the loader once and stores what it returns; until
+    then no per-set object exists.  Pickling writes the loaded state and
+    leaves the cache deferred.  ``stats`` is never deferred.
     """
 
     def __init__(
@@ -151,6 +159,35 @@ class CounterCache:
         ]
         # Backing store of architectural counters (what DRAM would hold).
         self._backing: dict[int, int] = {}
+
+    def defer_state(self, loader) -> None:
+        """Replace the set and backing-store state by ``loader``, a
+        zero-argument callable returning ``(sets, backing)`` in the
+        layout of ``_sets`` and ``_backing``; it runs on first read."""
+        self.__dict__.pop("_sets", None)
+        self.__dict__.pop("_backing", None)
+        self._pending = loader
+
+    def __getattr__(self, name: str):
+        # Normal lookup failed, so ``_sets``/``_backing`` are deferred:
+        # build both once.  Other names (pickle's probes of a bare
+        # instance included) are plain misses.
+        if name in ("_sets", "_backing"):
+            loader = self.__dict__.pop("_pending", None)
+            if loader is not None:
+                self._sets, self._backing = loader()
+                return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> dict:
+        """The materialised state; a deferred cache stays deferred."""
+        state = dict(self.__dict__)
+        loader = state.pop("_pending", None)
+        if loader is not None:
+            state["_sets"], state["_backing"] = loader()
+        return state
 
     # ------------------------------------------------------------------
     def _locate(self, address: int) -> tuple[int, int, int]:

@@ -18,6 +18,10 @@ The lowering (:mod:`repro.sim.workloads`) already emits its streams as
 flat arrays (:class:`~repro.sim.sm.LoweredStreams`), so no request object
 exists anywhere on this path; only hand-built or trace-loaded
 :class:`~repro.sim.sm.TileStep` lists are flattened object by object.
+On the way out the kernel's counter-cache state stays in its dense
+arrays: each cache gets its statistics and a loader
+(:func:`_counter_state`) that rebuilds its sets and backing store on
+first read, which a one-shot simulator never does.
 
 Two design rules make the backend trustworthy:
 
@@ -46,6 +50,7 @@ Backend selection mirrors :mod:`repro.crypto.fastpath`: consumers take
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -450,6 +455,15 @@ def _run_native(native, config, controllers, compiled):
     re-encryption hook may be attached.  Anything else (including all
     non-counter modes) always qualifies.  The check never mutates state,
     so the caller can fall back to the scalar engine cleanly.
+
+    State goes in and out differently.  The caches' sets and backing
+    store are read into the dense arrays (a cache still deferred from an
+    earlier run materialises here first).  After the run, the timing state
+    and the cache statistics are written back at once, but each cache's
+    sets and backing store are handed over as a loader over the arrays
+    (:meth:`CounterCache.defer_state
+    <repro.crypto.counter_cache.CounterCache.defer_state>`).  The array
+    arguments are passed as zero-copy ``ffi.from_buffer`` views.
     """
     ffi, lib = native
     channels = config.num_channels
@@ -494,6 +508,8 @@ def _run_native(native, config, controllers, compiled):
         for c, cache in enumerate(caches):
             resident_counters = 0
             for set_index, cache_set in enumerate(cache._sets):
+                if not cache_set:  # the arrays start empty
+                    continue
                 if len(cache_set) > assoc:
                     return None
                 base = (c * num_sets + set_index) * assoc
@@ -581,14 +597,15 @@ def _run_native(native, config, controllers, compiled):
     wdone = np.zeros(num_streams, np.float64)
     next_abs = np.zeros(num_streams, dtype=_I64)
 
+    # Zero-copy views; each keeps its array alive until the call returns.
     def f64(arr):
-        return ffi.cast("double *", arr.ctypes.data)
+        return ffi.from_buffer("double[]", arr)
 
     def i64(arr):
-        return ffi.cast("long long *", arr.ctypes.data)
+        return ffi.from_buffer("long long[]", arr)
 
     def i8(arr):
-        return ffi.cast("signed char *", arr.ctypes.data)
+        return ffi.from_buffer("signed char[]", arr)
 
     finish = lib.seal_run(
         num_streams,
@@ -675,21 +692,10 @@ def _run_native(native, config, controllers, compiled):
             engine._next_free = float(eng_nf[c])
             engine.busy_cycles = float(eng_busy[c])
     if has_cache:
-        # One global sweep over the dense counter arrays; the per-way
-        # counter slices become plain index ranges (``slot_bounds``)
-        # instead of thousands of tiny numpy slice/nonzero calls per run.
-        nz = np.nonzero(present)[0]
-        nz_slot = nz // lines_per_block
-        total_slots = channels * num_sets * assoc
-        slot_bounds = np.searchsorted(
-            nz_slot, np.arange(total_slots + 1)
-        ).tolist()
-        nz_offsets = ((nz - nz_slot * lines_per_block) * line_bytes).tolist()
-        nz_values = values[nz].tolist()
-        tags_l = tags.tolist()
-        dirty_l = dirty.tolist()
-        order_l = order.tolist()
-        setcount_l = setcount.tolist()
+        # Statistics now; sets and backing store on first read (most
+        # simulators are dropped before anything reads them).
+        geometry = (num_sets, assoc, lines_per_block, span, line_bytes, bcap)
+        dense = (tags, dirty, order, setcount, present, values, bkeys, bvals)
         for c, cache in enumerate(caches):
             stats = cache.stats
             (
@@ -700,33 +706,7 @@ def _run_native(native, config, controllers, compiled):
                 stats.reencryptions,
                 stats.reencrypted_lines,
             ) = cache_stats[c * 6 : c * 6 + 6].tolist()
-            new_sets = []
-            for set_index in range(num_sets):
-                cache_set: OrderedDict = OrderedDict()
-                base = (c * num_sets + set_index) * assoc
-                for j in range(int(setcount_l[c * num_sets + set_index])):
-                    way = order_l[base + j]
-                    slot = base + way
-                    tag = tags_l[slot]
-                    line = _CacheLine(tag=tag, dirty=bool(dirty_l[slot]))
-                    lo_k, hi_k = slot_bounds[slot], slot_bounds[slot + 1]
-                    if hi_k > lo_k:
-                        low = (tag * num_sets + set_index) * span
-                        line.counters = {
-                            low + nz_offsets[k]: nz_values[k]
-                            for k in range(lo_k, hi_k)
-                        }
-                    cache_set[tag] = line
-                new_sets.append(cache_set)
-            cache._sets = new_sets
-            keys = bkeys[c * bcap : (c + 1) * bcap]
-            occupied = np.nonzero(keys != -1)[0]
-            cache._backing = dict(
-                zip(
-                    keys[occupied].tolist(),
-                    bvals[c * bcap : (c + 1) * bcap][occupied].tolist(),
-                )
-            )
+            cache.defer_state(functools.partial(_counter_state, c, geometry, dense))
 
     return (
         float(finish),
@@ -736,6 +716,56 @@ def _run_native(native, config, controllers, compiled):
         next_abs,
         counter_fetch.tolist(),
     )
+
+
+def _counter_state(c, geometry, dense):
+    """Channel ``c``'s counter-cache state after a native run, rebuilt
+    from the kernel's dense arrays as ``(sets, backing)`` in
+    :class:`~repro.crypto.counter_cache.CounterCache`'s layout: the loader
+    :func:`_run_native` hands each cache.
+
+    One sweep over the channel's counter arrays turns the per-way counter
+    slices into plain index ranges (``slot_bounds``) instead of thousands
+    of tiny numpy slice/nonzero calls.
+    """
+    num_sets, assoc, lines_per_block, span, line_bytes, bcap = geometry
+    tags, dirty, order, setcount, present, values, bkeys, bvals = dense
+    ways = num_sets * assoc
+    first, last = c * ways * lines_per_block, (c + 1) * ways * lines_per_block
+    nz = np.nonzero(present[first:last])[0]
+    nz_slot = nz // lines_per_block
+    slot_bounds = np.searchsorted(nz_slot, np.arange(ways + 1)).tolist()
+    nz_offsets = ((nz - nz_slot * lines_per_block) * line_bytes).tolist()
+    nz_values = values[first:last][nz].tolist()
+    tags_l = tags[c * ways : (c + 1) * ways].tolist()
+    dirty_l = dirty[c * ways : (c + 1) * ways].tolist()
+    order_l = order[c * ways : (c + 1) * ways].tolist()
+    setcount_l = setcount[c * num_sets : (c + 1) * num_sets].tolist()
+    sets = []
+    for set_index in range(num_sets):
+        cache_set: OrderedDict = OrderedDict()
+        base = set_index * assoc
+        for j in range(setcount_l[set_index]):
+            slot = base + order_l[base + j]
+            tag = tags_l[slot]
+            line = _CacheLine(tag=tag, dirty=bool(dirty_l[slot]))
+            lo_k, hi_k = slot_bounds[slot], slot_bounds[slot + 1]
+            if hi_k > lo_k:
+                low = (tag * num_sets + set_index) * span
+                line.counters = {
+                    low + nz_offsets[k]: nz_values[k] for k in range(lo_k, hi_k)
+                }
+            cache_set[tag] = line
+        sets.append(cache_set)
+    keys = bkeys[c * bcap : (c + 1) * bcap]
+    occupied = np.nonzero(keys != -1)[0]
+    backing = dict(
+        zip(
+            keys[occupied].tolist(),
+            bvals[c * bcap : (c + 1) * bcap][occupied].tolist(),
+        )
+    )
+    return sets, backing
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,14 @@ The display ``label`` is *not* part of the key; cached results are
 re-labelled on the way out, so the output of a cached/parallel run is
 field-for-field identical to a cold serial run (the golden suite in
 ``tests/sim/test_golden_ipc.py`` pins this).
+
+Distinct units can still share their *lowering*: it reads only the
+config's geometry, so Direct and Counter (and SEAL-D and SEAL-C) lower a
+layer to the same streams.  :func:`run_units` runs the units of one
+lowering key back to back, in order of first appearance, and
+:func:`simulate_unit` reuses the previous unit's streams when the key
+matches (``sim.lower.reused``), so each stream set is lowered once per
+call on each process.
 """
 
 from __future__ import annotations
@@ -198,21 +206,56 @@ class SimUnit:
         return cache_key(self.config, self.traffic, self.tile)
 
 
-def simulate_unit(unit: SimUnit) -> SimResult:
-    """Run one unit cold (no cache, current process).
+def _lowering_key(unit: SimUnit) -> tuple:
+    """Everything :func:`~repro.sim.workloads.layer_streams` reads of a
+    unit: the config's four geometry fields, the tagged traffic (its name
+    included: it names the heap regions) and the tile.  Units that differ
+    only in the memory controller's engine share one stream set."""
+    config = unit.config
+    return (
+        config.num_sms,
+        config.line_bytes,
+        config.macs_per_sm_per_cycle,
+        config.num_channels,
+        unit.traffic,
+        unit.tile,
+    )
 
-    Lowering is timed as ``sim.lower``; :meth:`GpuSimulator.run` times the
-    ``sim.compile`` and ``sim.kernel`` stages after it.
+
+#: The last stream set :func:`simulate_unit` lowered, as ``(lowering key,
+#: LoweredStreams)``: a one-entry memo, so a unit whose lowering key
+#: matches its predecessor's skips the lowering.  Streams are never
+#: mutated by a run; :func:`run_units` empties the memo around each
+#: fan-out, so its counts do not depend on earlier calls.
+_last_lowering: tuple | None = None
+
+
+def simulate_unit(unit: SimUnit) -> SimResult:
+    """Run one unit cold (no result cache, current process).
+
+    Lowering is timed as ``sim.lower``, or counted as ``sim.lower.reused``
+    when the previous unit lowered the same stream set;
+    :meth:`GpuSimulator.run` times the ``sim.compile`` and ``sim.kernel``
+    stages after it.
     """
+    global _last_lowering
     tracer = get_tracer()
     with tracer.span(
         "sim.unit", {"label": unit.label, "tile": unit.tile} if tracer.enabled else None
     ):
         simulator = GpuSimulator(unit.config)
-        with instrument("sim.lower"):
-            streams = layer_streams(
-                unit.config, unit.traffic, tile=unit.tile, heap=SecureHeap()
-            )
+        key = _lowering_key(unit)
+        last = _last_lowering
+        if last is not None and last[0] == key:
+            streams = last[1]
+            get_metrics().count("sim.lower.reused")
+        else:
+            _last_lowering = None  # free the old set before lowering the next
+            with instrument("sim.lower"):
+                streams = layer_streams(
+                    unit.config, unit.traffic, tile=unit.tile, heap=SecureHeap()
+                )
+            _last_lowering = (key, streams)
         return simulator.run(streams, label=unit.label)
 
 
@@ -256,6 +299,7 @@ def run_units(
     :class:`~repro.faults.UnitExecutionError` naming its cache key — after
     every other unit has completed and been written to ``cache``.
     """
+    global _last_lowering
     units = list(units)
     jobs = resolve_jobs(jobs)
     metrics = metrics if metrics is not None else get_metrics()
@@ -275,7 +319,12 @@ def run_units(
 
     computed: set[str] = set(pending)
     if pending:
-        todo = [(key, unit.label, unit) for key, unit in pending.items()]
+        # Units sharing a stream set run back to back (groups in order of
+        # first appearance), so simulate_unit lowers each set once.
+        groups: dict[tuple, list] = {}
+        for key, unit in pending.items():
+            groups.setdefault(_lowering_key(unit), []).append((key, unit.label, unit))
+        todo = [entry for group in groups.values() for entry in group]
 
         def deliver(key: str, unit: object, result: SimResult) -> None:
             resolved[key] = result
@@ -287,9 +336,18 @@ def run_units(
             {"units": len(units), "pending": len(todo), "jobs": jobs},
             metrics=metrics,
         ):
-            run_hardened(
-                _timed_unit, todo, jobs=jobs, policy=policy, metrics=metrics, on_result=deliver
-            )
+            _last_lowering = None
+            try:
+                run_hardened(
+                    _timed_unit,
+                    todo,
+                    jobs=jobs,
+                    policy=policy,
+                    metrics=metrics,
+                    on_result=deliver,
+                )
+            finally:
+                _last_lowering = None
 
     first_compute_claimed: set[str] = set()
     merged: list[SimResult] = []

@@ -134,6 +134,12 @@ def layer_unit(
 ) -> SimUnit:
     """The :class:`SimUnit` equivalent of :func:`run_layer`'s arguments."""
     config = scheme_config(scheme, counter_cache_kb=counter_cache_kb)
+    return _unit(traffic, scheme, config, tile)
+
+
+def _unit(
+    traffic: LayerTraffic, scheme: str, config: GpuConfig, tile: int
+) -> SimUnit:
     return SimUnit(
         traffic=tag_traffic(traffic, config.encryption),
         config=config,
@@ -235,7 +241,7 @@ def compare_schemes(
     The model is lowered to traffic records **once** and the same records
     are tagged for each scheme's config by :func:`tag_traffic` — the
     per-scheme re-lowering the serial runner used to do was pure
-    recomputation.  All
+    recomputation.  Each scheme's config is resolved once, too.  All
     ``len(schemes) × len(layers)`` simulation units then go through
     :func:`repro.sim.parallel.run_units` as one deduplicated batch.
     """
@@ -251,9 +257,13 @@ def compare_schemes(
     ):
         with tracer.span("runner.lower"):
             traffics = plan.layer_traffic(include_pools=include_pools, batch=batch)
-        units = [
-            layer_unit(traffic, scheme, counter_cache_kb=counter_cache_kb, tile=tile)
+        configs = [
+            scheme_config(scheme, counter_cache_kb=counter_cache_kb)
             for scheme in schemes
+        ]
+        units = [
+            _unit(traffic, scheme, config, tile)
+            for scheme, config in zip(schemes, configs)
             for traffic in traffics
         ]
         owners = [scheme for scheme in schemes for _ in traffics]

@@ -40,6 +40,7 @@ COUNTERS = (
     "sim.cache.misses",
     "sim.data_bytes",
     "sim.kernel_runs",
+    "sim.lower.reused",
 )
 TIMERS = (
     "crypto.ctr",

@@ -153,7 +153,11 @@ def test_stage_timers_land_in_the_callers_registry(jobs):
     finally:
         set_metrics(previous)
     assert metrics.counter("sim.cache.misses") == 2
-    assert metrics.timers["sim.lower"].count == metrics.counter("sim.cache.misses")
+    # One lowering or one reuse per miss, in whichever process ran it.
+    lowered = metrics.timers["sim.lower"].count
+    assert lowered + metrics.counter("sim.lower.reused") == metrics.counter(
+        "sim.cache.misses"
+    )
     for stage in ("sim.lower", "sim.compile", "sim.kernel", "parallel.unit"):
         assert metrics.timers[stage].count == 2, stage
     assert ambient.timers == {} and ambient.counters == {}

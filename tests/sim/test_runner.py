@@ -5,10 +5,12 @@ import pytest
 from repro.core.plan import ModelEncryptionPlan
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model, vgg16
+from repro.sim.parallel import run_units
 from repro.sim.runner import (
     SCHEMES,
     compare_schemes,
     fully_encrypted,
+    layer_unit,
     plaintext_traffic,
     run_layer,
     run_model,
@@ -16,6 +18,8 @@ from repro.sim.runner import (
     tag_traffic,
 )
 from repro.sim.workloads import matmul_traffic
+
+from .test_golden_ipc import assert_results_identical
 
 
 @pytest.fixture(scope="module")
@@ -191,10 +195,37 @@ class TestCompareSchemesSharedLowering:
         for seal_d, seal_c in zip(by_scheme["SEAL-D"], by_scheme["SEAL-C"]):
             assert seal_d.traffic is seal_c.traffic
 
+    def test_each_scheme_config_resolved_once(self, mlp_plan, monkeypatch):
+        from repro.sim import runner as runner_module
+
+        expected = {
+            scheme: run_units(
+                [layer_unit(traffic, scheme) for traffic in mlp_plan.layer_traffic()],
+                cache=False,
+            )
+            for scheme in SCHEMES
+        }
+        calls = []
+        original = runner_module.scheme_config
+
+        def counting(name, **kwargs):
+            calls.append(name)
+            return original(name, **kwargs)
+
+        monkeypatch.setattr(runner_module, "scheme_config", counting)
+        results = compare_schemes(mlp_plan, SCHEMES, cache=False)
+        assert calls == list(SCHEMES)
+        for scheme in SCHEMES:
+            got = results[scheme].layer_results
+            assert len(got) == len(expected[scheme])
+            for result, reference in zip(got, expected[scheme]):
+                assert_results_identical(result, reference)
+
 
 class TestStageTimers:
-    """Each simulated unit records one ``sim.lower``, ``sim.compile`` and
-    ``sim.kernel`` timing; deduplicated units record none."""
+    """Each simulated unit records one ``sim.compile`` and ``sim.kernel``
+    timing, and one ``sim.lower`` timing or ``sim.lower.reused`` count;
+    deduplicated units record none."""
 
     def test_one_timing_per_simulated_unit(self):
         from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -214,5 +245,11 @@ class TestStageTimers:
         snapshot = registry.snapshot()
         assert snapshot["counters"]["sim.cache.misses"] == 3
         assert snapshot["counters"]["sim.kernel_runs"] == 3
-        for stage in ("sim.lower", "sim.compile", "sim.kernel"):
+        for stage in ("sim.compile", "sim.kernel"):
             assert snapshot["timers"][stage]["count"] == 3, stage
+        # matmul_traffic is all critical, so SEAL-C and Counter tag it
+        # alike and share one stream set.
+        lowered = snapshot["timers"]["sim.lower"]["count"]
+        reused = snapshot["counters"]["sim.lower.reused"]
+        assert lowered + reused == snapshot["counters"]["sim.cache.misses"]
+        assert (lowered, reused) == (2, 1)
