@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the encryption ratio: the performance side of the 50% decision.
 
-The paper picks a 50% encryption ratio because it is the smallest ratio
-whose substitute models are no better than black-box (Figures 3-4).  This
+The paper picks a 50% encryption ratio because, in its Figures 3-4, it is
+the smallest ratio whose substitute models are no better than black-box
+(a claim of the paper; see docs/threat-model.md for this repo's
+measurements).  This
 example shows the other half of that trade-off: how encrypted-traffic
 fraction and simulated IPC vary with the ratio, for all three models.
 
@@ -48,9 +50,11 @@ def main() -> None:
             )
         )
     print(
-        "\nLower ratios bypass more traffic and recover more IPC, but "
-        "Figures 3-4 show ratios below ~50% leak enough weights to beat "
-        "the black-box adversary — hence the paper's 50% default."
+        "\nLower ratios bypass more traffic and recover more IPC.  The paper "
+        "reports (Figures 3-4) that ratios below ~50% leak enough weights "
+        "to beat the black-box adversary, hence its 50% default.  This "
+        "repo has not tested that threshold: which adversary is stronger "
+        "depends on the query budget (docs/threat-model.md)."
     )
 
 

@@ -27,6 +27,7 @@ from ..sim.runner import (
     compare_schemes,
     layer_unit,
     scheme_config,
+    tag_traffic,
 )
 from ..sim.workloads import matmul_traffic
 from .reporting import ascii_table, format_series
@@ -119,21 +120,24 @@ def fig1_straightforward(
     """
     m, n, k = matmul_shape
     traffic = matmul_traffic(m, n, k, encrypted=True)
-    labels = ["Baseline", "Direct"] + [f"Ctr-{kb}" for kb in cache_sizes_kb]
-    units = [
-        SimUnit(traffic=traffic, config=scheme_config("Baseline"), label="Baseline"),
-        SimUnit(traffic=traffic, config=scheme_config("Direct"), label="Direct"),
-    ] + [
-        SimUnit(
-            traffic=traffic,
-            config=scheme_config("Counter", counter_cache_kb=kb),
-            label=f"Ctr-{kb}",
-        )
+    configs = {
+        "Baseline": scheme_config("Baseline"),
+        "Direct": scheme_config("Direct"),
+    } | {
+        f"Ctr-{kb}": scheme_config("Counter", counter_cache_kb=kb)
         for kb in cache_sizes_kb
+    }
+    units = [
+        SimUnit(
+            traffic=tag_traffic(traffic, config.encryption),
+            config=config,
+            label=label,
+        )
+        for label, config in configs.items()
     ]
     with instrument("eval.fig1", {"matmul": list(matmul_shape)}):
         results = run_units(units, jobs=jobs, cache=cache)
-    ipc = {label: result.ipc for label, result in zip(labels, results)}
+    ipc = {label: result.ipc for label, result in zip(configs, results)}
     hit_rates = {
         kb: result.counter_hit_rate
         for kb, result in zip(cache_sizes_kb, results[2:])

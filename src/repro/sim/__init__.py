@@ -39,8 +39,7 @@ from .runner import (
     scheme_config,
 )
 from .sm import LoweredStreams, SmState, SmStats, TileStep
-from .roofline import RooflinePrediction, predict_streams
-from .trace import TraceStats, dump_streams, load_streams, trace_stats
+from .roofline import RooflinePrediction, TraceStats, predict_streams, trace_stats
 from .workloads import (
     DEFAULT_TILE,
     gemm_layer_streams,
@@ -87,8 +86,6 @@ __all__ = [
     "RooflinePrediction",
     "predict_streams",
     "TraceStats",
-    "dump_streams",
-    "load_streams",
     "trace_stats",
     "SmState",
     "SmStats",

@@ -16,7 +16,7 @@ counter-cache state it cannot represent), :func:`_run_python` runs the
 scalar engine instead and the run records ``sim.backend.scalar``.
 The lowering (:mod:`repro.sim.workloads`) already emits its streams as
 flat arrays (:class:`~repro.sim.sm.LoweredStreams`), so no request object
-exists anywhere on this path; only hand-built or trace-loaded
+exists anywhere on this path; only hand-built
 :class:`~repro.sim.sm.TileStep` lists are flattened object by object.
 On the way out the kernel's counter-cache state stays in its dense
 arrays: each cache gets its statistics and a loader
@@ -186,8 +186,7 @@ def compile_streams(
 
     The lowering already emits per-request and per-step arrays
     (:class:`~repro.sim.sm.LoweredStreams`), so compilation is bulk NumPy
-    over them; hand-built or trace-loaded :class:`TileStep` lists are
-    flattened first.
+    over them; hand-built :class:`TileStep` lists are flattened first.
     """
     lowered = LoweredStreams.from_steps(streams)
     encryption = config.encryption

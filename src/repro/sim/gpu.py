@@ -48,10 +48,6 @@ class SimResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def achieved_bandwidth_fraction(self) -> float:
-        return self.dram_utilization
-
     def normalized_ipc(self, baseline: "SimResult") -> float:
         """IPC relative to an unencrypted baseline run of the same work."""
         if baseline.ipc == 0:

@@ -208,9 +208,11 @@ class SimUnit:
 
 def _lowering_key(unit: SimUnit) -> tuple:
     """Everything :func:`~repro.sim.workloads.layer_streams` reads of a
-    unit: the config's four geometry fields, the tagged traffic (its name
-    included: it names the heap regions) and the tile.  Units that differ
-    only in the memory controller's engine share one stream set."""
+    unit: the config's four geometry fields, the tagged traffic and the
+    tile.  The traffic's name comes along with the record but does not
+    reach the streams (it only names the throwaway heap's regions).  Units
+    that differ only in the memory controller's engine share one stream
+    set."""
     config = unit.config
     return (
         config.num_sms,

@@ -29,7 +29,6 @@ class MemRequest:
     access: Access
     encrypted: bool
     sm_id: int = 0
-    tag: str = ""
 
     def __post_init__(self) -> None:
         if self.size <= 0:

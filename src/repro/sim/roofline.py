@@ -3,8 +3,9 @@
 The paper's bandwidth-gap argument is a roofline argument: a kernel's
 steady-state time is bounded below by its compute time, its DRAM time, and
 (when encrypted) its AES-engine time, and the largest bound wins.  This
-module computes those bounds from a lowered workload's trace statistics,
-so the discrete-event results in :mod:`repro.sim.gpu` can be validated
+module computes those bounds from a lowered workload's trace statistics
+(sums over its :class:`~repro.sim.sm.LoweredStreams` arrays), so the
+discrete-event results in :mod:`repro.sim.gpu` can be validated
 against first principles (see ``tests/sim/test_roofline.py``): in the
 saturated regimes the DES must approach the roofline, and it can never
 beat it.
@@ -12,13 +13,67 @@ beat it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .config import EncryptionMode, GpuConfig
-from .sm import TileStep
-from .trace import TraceStats, trace_stats
+import numpy as np
 
-__all__ = ["RooflinePrediction", "predict", "predict_streams"]
+from .config import EncryptionMode, GpuConfig
+from .sm import LoweredStreams, TileStep
+
+__all__ = [
+    "TraceStats",
+    "trace_stats",
+    "RooflinePrediction",
+    "predict",
+    "predict_streams",
+]
+
+
+@dataclass(frozen=True)
+class TraceStats:
+    """Aggregate statistics of one lowered workload."""
+
+    steps: int
+    requests: int
+    read_bytes: int
+    write_bytes: int
+    encrypted_bytes: int
+    compute_cycles: int
+    instructions: int
+
+    @property
+    def total_bytes(self) -> int:
+        return self.read_bytes + self.write_bytes
+
+    @property
+    def encrypted_fraction(self) -> float:
+        total = self.total_bytes
+        return self.encrypted_bytes / total if total else 0.0
+
+    @property
+    def arithmetic_intensity(self) -> float:
+        """MAC-slot cycles per byte moved (roofline x-axis)."""
+        total = self.total_bytes
+        return self.compute_cycles / total if total else float("inf")
+
+
+def trace_stats(
+    streams: LoweredStreams | Sequence[Sequence[TileStep]],
+) -> TraceStats:
+    """Summarize a set of per-SM streams: one sum per field over their
+    arrays (hand-built :class:`TileStep` lists are flattened first)."""
+    lowered = LoweredStreams.from_steps(streams)
+    size, is_read = lowered.size, lowered.is_read
+    return TraceStats(
+        steps=len(lowered.step_cycles),
+        requests=lowered.num_requests,
+        read_bytes=int(size[is_read].sum()),
+        write_bytes=int(size[~is_read].sum()),
+        encrypted_bytes=int(size[lowered.encrypted].sum()),
+        compute_cycles=lowered.step_cycles.sum().item(),
+        instructions=lowered.step_instructions.sum().item(),
+    )
 
 
 @dataclass(frozen=True)
@@ -87,8 +142,9 @@ def predict(stats: TraceStats, config: GpuConfig, *, active_sms: int | None = No
 
 
 def predict_streams(
-    streams: list[list[TileStep]], config: GpuConfig
+    streams: LoweredStreams | Sequence[Sequence[TileStep]], config: GpuConfig
 ) -> RooflinePrediction:
     """Roofline prediction straight from lowered per-SM streams."""
-    active = sum(1 for stream in streams if stream)
-    return predict(trace_stats(streams), config, active_sms=active or None)
+    lowered = LoweredStreams.from_steps(streams)
+    active = int(np.count_nonzero(lowered.sm_steps))
+    return predict(trace_stats(lowered), config, active_sms=active or None)

@@ -13,7 +13,7 @@ The lowering emits those streams as :class:`LoweredStreams` — flat
 per-request and per-step arrays that the vector engine compiles without
 touching a Python object per request.  Indexing a :class:`LoweredStreams`
 materialises the equivalent :class:`TileStep` lists, which is what the
-scalar engine and the trace tools consume.
+scalar engine consumes.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class LoweredStreams(Sequence):
     Requests are rows of the per-request arrays in stream order: SM 0's
     steps first, each step's reads followed by its writes.  Step ``i`` owns
     ``step_reads[i] + step_writes[i]`` consecutive rows; stream ``j`` owns
-    ``sm_steps[j]`` consecutive steps.  ``tag[r]`` indexes ``tags``.
+    ``sm_steps[j]`` consecutive steps.
 
     As a sequence it is the equivalent ``list[list[TileStep]]`` (built once,
     on first access), every request carrying its stream's index as
@@ -69,8 +69,6 @@ class LoweredStreams(Sequence):
         size: np.ndarray,
         is_read: np.ndarray,
         encrypted: np.ndarray,
-        tag: np.ndarray,
-        tags: tuple[str, ...],
         step_cycles: np.ndarray,
         step_instructions: np.ndarray,
         step_reads: np.ndarray,
@@ -81,8 +79,6 @@ class LoweredStreams(Sequence):
         self.size = size
         self.is_read = is_read
         self.encrypted = encrypted
-        self.tag = tag
-        self.tags = tags
         self.step_cycles = step_cycles
         self.step_instructions = step_instructions
         self.step_reads = step_reads
@@ -92,22 +88,16 @@ class LoweredStreams(Sequence):
 
     @classmethod
     def from_steps(cls, streams: Sequence[Sequence[TileStep]]) -> "LoweredStreams":
-        """Flatten hand-built (or trace-loaded) :class:`TileStep` lists."""
+        """Flatten hand-built :class:`TileStep` lists."""
         if isinstance(streams, LoweredStreams):
             return streams
         steps = [step for stream in streams for step in stream]
         requests = [r for step in steps for r in step.reads + step.writes]
-        tag_ids: dict[str, int] = {}
         return cls(
             address=np.array([r.address for r in requests], dtype=np.int64),
             size=np.array([r.size for r in requests], dtype=np.int64),
             is_read=np.array([r.access is Access.READ for r in requests], dtype=bool),
             encrypted=np.array([r.encrypted for r in requests], dtype=bool),
-            tag=np.array(
-                [tag_ids.setdefault(r.tag, len(tag_ids)) for r in requests],
-                dtype=np.int64,
-            ),
-            tags=tuple(tag_ids),
             # dtype follows the values: int64 for whole cycles, float64 else.
             step_cycles=np.array([s.compute_cycles for s in steps]),
             step_instructions=np.array([s.instructions for s in steps]),
@@ -123,15 +113,13 @@ class LoweredStreams(Sequence):
     def _materialise(self) -> list[list[TileStep]]:
         if self._steps is not None:
             return self._steps
-        tags = self.tags
         requests = [
-            (address, size, Access.READ if read else Access.WRITE, encrypted, tags[tag])
-            for address, size, read, encrypted, tag in zip(
+            (address, size, Access.READ if read else Access.WRITE, encrypted)
+            for address, size, read, encrypted in zip(
                 self.address.tolist(),
                 self.size.tolist(),
                 self.is_read.tolist(),
                 self.encrypted.tolist(),
-                self.tag.tolist(),
             )
         ]
         cycles = self.step_cycles.tolist()
@@ -149,12 +137,12 @@ class LoweredStreams(Sequence):
                     TileStep(
                         compute_cycles=cycles[step],
                         reads=tuple(
-                            MemRequest(a, s, access, e, sm_id, t)
-                            for a, s, access, e, t in requests[row:mid]
+                            MemRequest(a, s, access, e, sm_id)
+                            for a, s, access, e in requests[row:mid]
                         ),
                         writes=tuple(
-                            MemRequest(a, s, access, e, sm_id, t)
-                            for a, s, access, e, t in requests[mid:end]
+                            MemRequest(a, s, access, e, sm_id)
+                            for a, s, access, e in requests[mid:end]
                         ),
                         instructions=instructions[step],
                     )

@@ -19,7 +19,7 @@ The lowering is computed in bulk with NumPy and emits
 :class:`~repro.sim.sm.LoweredStreams` — the flat per-request and per-step
 arrays the vector engine compiles — so no Python object is built per
 request or per step unless a consumer indexes the streams (the scalar
-engine and the trace tools do).  ``tests/sim/reference_lowering.py`` keeps
+engine does).  ``tests/sim/reference_lowering.py`` keeps
 the former object-by-object lowering, and the equivalence suite pins this
 one to it request for request.
 """
@@ -107,12 +107,12 @@ def _lower(
     config: GpuConfig,
     step_sm: np.ndarray,
     step_cycles: np.ndarray,
-    accesses: list[tuple[_Operand, np.ndarray, bool, str]],
+    accesses: list[tuple[_Operand, np.ndarray, bool]],
 ) -> LoweredStreams:
     """Lay out every step's requests and group the steps by SM.
 
     ``step_sm``/``step_cycles`` describe the steps in generation order;
-    each ``(operand, bytes per step, is_read, tag)`` entry of ``accesses``
+    each ``(operand, bytes per step, is_read)`` entry of ``accesses``
     is one operand access per step, in issue order (reads before writes).
     Each criticality part of an access is split into up to
     ``num_channels`` line-stepped requests (keeping the channel interleave
@@ -125,12 +125,12 @@ def _lower(
     line = config.line_bytes
     num_steps = len(step_sm)
     regions: list[Allocation] = []
-    columns = []  # (region index, encrypted, is_read, tag index, bytes per step)
-    for tag_id, (operand, nbytes, is_read, _) in enumerate(accesses):
+    columns = []  # (region index, encrypted, is_read, bytes per step)
+    for operand, nbytes, is_read in accesses:
         for allocation, encrypted, sizes in operand.segments(nbytes):
             if allocation not in regions:
                 regions.append(allocation)
-            columns.append((regions.index(allocation), encrypted, is_read, tag_id, sizes))
+            columns.append((regions.index(allocation), encrypted, is_read, sizes))
 
     # Criticality parts in generation order: step-major, then column.
     part_bytes = (
@@ -159,7 +159,6 @@ def _lower(
     region = per_column(0, np.int64)
     encrypted = per_column(1, bool)
     is_read = per_column(2, bool)
-    tag = per_column(3, np.int64)
 
     address = np.empty(len(size), dtype=np.int64)
     for region_id, allocation in enumerate(regions):
@@ -183,8 +182,6 @@ def _lower(
         size=size[gather],
         is_read=is_read[gather],
         encrypted=encrypted[gather],
-        tag=tag[gather],
-        tags=tuple(tag_name for *_, tag_name in accesses),
         step_cycles=cycles,
         step_instructions=cycles,
         step_reads=reads[order],
@@ -196,7 +193,6 @@ def _lower(
 def _gemm_streams(
     config: GpuConfig,
     *,
-    name: str,
     m: int,
     n: int,
     k: int,
@@ -248,9 +244,9 @@ def _gemm_streams(
         step_sm,
         cycles,
         [
-            (a, tile_m * tile_k * element_bytes, True, f"{name}.A"),
-            (b, tile_k * tile_n * element_bytes, True, f"{name}.B"),
-            (c, np.where(last_k, tile_m * tile_n * element_bytes, 0), False, f"{name}.C"),
+            (a, tile_m * tile_k * element_bytes, True),
+            (b, tile_k * tile_n * element_bytes, True),
+            (c, np.where(last_k, tile_m * tile_n * element_bytes, 0), False),
         ],
     )
 
@@ -341,7 +337,6 @@ def gemm_layer_streams(
     )
     return _gemm_streams(
         config,
-        name=traffic.name,
         m=traffic.gemm_m,
         n=traffic.gemm_n,
         k=traffic.gemm_k,
@@ -401,8 +396,8 @@ def pool_layer_streams(
         step % config.num_sms,
         cycles,
         [
-            (source, this_in, True, f"{traffic.name}.in"),
-            (target, this_out, False, f"{traffic.name}.out"),
+            (source, this_in, True),
+            (target, this_out, False),
         ],
     )
 

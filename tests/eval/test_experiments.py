@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.attacks.sweep import SweepResult, plan_units, run_sweep
+from repro.eval import experiments
 from repro.eval.experiments import (
     fig1_straightforward,
     fig3_fig4_security,
@@ -15,6 +16,7 @@ from repro.eval.experiments import (
     table1_engines,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.runner import tag_traffic
 from tests.attacks.test_sweep import tiny_config
 
 
@@ -58,6 +60,23 @@ class TestFig1:
     def test_report_renders(self, result):
         report = result.report()
         assert "Fig 1a" in report and "Fig 1b" in report
+
+    def test_units_are_tagged_for_their_config(self, monkeypatch):
+        # SimUnit's precondition: traffic arrives tagged (Baseline strips
+        # the full-encryption matmul's criticality).
+        units = []
+        run_units = experiments.run_units
+
+        def recording(batch, **kwargs):
+            units.extend(batch)
+            return run_units(batch, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_units", recording)
+        fig1_straightforward(matmul_shape=(64, 64, 64), cache_sizes_kb=(24,))
+        assert [unit.label for unit in units] == ["Baseline", "Direct", "Ctr-24"]
+        for unit in units:
+            assert unit.traffic == tag_traffic(unit.traffic, unit.config.encryption)
+        assert units[0].traffic.encrypted_fraction == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -51,7 +51,6 @@ def _split_requests(
     sm_id: int,
     line_bytes: int,
     parts: int,
-    tag: str,
 ) -> list[MemRequest]:
     """Spread ``nbytes`` over ``parts`` requests at line-stepped addresses.
 
@@ -76,7 +75,6 @@ def _split_requests(
                 access=access,
                 encrypted=encrypted,
                 sm_id=sm_id,
-                tag=tag,
             )
         )
     return requests
@@ -120,7 +118,6 @@ class _OperandRegions:
         sm_id: int,
         line_bytes: int,
         parts: int,
-        tag: str,
     ) -> list[MemRequest]:
         """Reads/writes for ``nbytes`` of this operand, split by criticality."""
         encrypted_bytes = int(round(nbytes * self.encrypted_fraction))
@@ -135,7 +132,6 @@ class _OperandRegions:
                 sm_id=sm_id,
                 line_bytes=line_bytes,
                 parts=parts,
-                tag=tag,
             )
         elif encrypted_bytes and self.plain is not None:
             plain_bytes += encrypted_bytes
@@ -148,7 +144,6 @@ class _OperandRegions:
                 sm_id=sm_id,
                 line_bytes=line_bytes,
                 parts=parts,
-                tag=tag,
             )
         elif plain_bytes and self.encrypted is not None:
             requests += _split_requests(
@@ -159,7 +154,6 @@ class _OperandRegions:
                 sm_id=sm_id,
                 line_bytes=line_bytes,
                 parts=parts,
-                tag=tag,
             )
         return requests
 
@@ -224,7 +218,6 @@ def _gemm_streams(
                     sm_id=sm_id,
                     line_bytes=line,
                     parts=parts,
-                    tag=f"{name}.A",
                 )
                 reads += b_regions.requests(
                     tile_k * tile_n * element_bytes,
@@ -232,7 +225,6 @@ def _gemm_streams(
                     sm_id=sm_id,
                     line_bytes=line,
                     parts=parts,
-                    tag=f"{name}.B",
                 )
                 writes: list[MemRequest] = []
                 if index == len(k_tiles) - 1:
@@ -242,7 +234,6 @@ def _gemm_streams(
                         sm_id=sm_id,
                         line_bytes=line,
                         parts=parts,
-                        tag=f"{name}.C",
                     )
                 macs = int(tile_m * tile_n * tile_k * scale)
                 cycles = max(1, -(-macs // config.macs_per_sm_per_cycle))
@@ -359,7 +350,6 @@ def pool_layer_streams(
             sm_id=sm_id,
             line_bytes=line,
             parts=config.num_channels,
-            tag=f"{traffic.name}.in",
         )
         this_out = int(round(this_in * out_ratio))
         writes = (
@@ -369,7 +359,6 @@ def pool_layer_streams(
                 sm_id=sm_id,
                 line_bytes=line,
                 parts=config.num_channels,
-                tag=f"{traffic.name}.out",
             )
             if this_out
             else []

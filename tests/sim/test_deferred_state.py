@@ -12,7 +12,8 @@ the units that share it.  Neither may change an observable:
   equals the state after materialisation;
 * a Fig 7 unit run through :func:`~repro.sim.parallel.simulate_unit`
   leaves its caches deferred;
-* every Fig 7 unit's result equals the unshared per-unit path below.
+* every Fig 7 unit's result equals the unshared per-unit path below,
+  and never beats the roofline bound of the streams it ran.
 """
 
 import pickle
@@ -28,6 +29,7 @@ from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import _native, parallel
 from repro.sim.gpu import GpuSimulator
+from repro.sim.roofline import predict_streams
 from repro.sim.runner import SCHEMES, layer_unit, scheme_config, tag_traffic
 from repro.sim.workloads import layer_streams
 
@@ -37,13 +39,15 @@ from .test_golden_ipc import assert_results_identical
 COUNTER_SCHEMES = ("Counter", "SEAL-C")
 
 
-def unshared(unit):
-    """The per-unit path before lowerings were shared: lower, then run."""
-    simulator = GpuSimulator(unit.config)
-    streams = layer_streams(
+def lower(unit):
+    return layer_streams(
         unit.config, unit.traffic, tile=unit.tile, heap=SecureHeap()
     )
-    return simulator.run(streams, label=unit.label)
+
+
+def unshared(unit):
+    """The per-unit path before lowerings were shared: lower, then run."""
+    return GpuSimulator(unit.config).run(lower(unit), label=unit.label)
 
 
 def run_sequence(config, traffic, backends):
@@ -190,21 +194,42 @@ class TestFig7Units:
             ]
         return units
 
-    def test_shared_lowering_equals_the_unshared_path(self, units):
+    @pytest.fixture(scope="class")
+    def reference(self, units):
+        """Per cache key: the unshared path's result on the native kernel
+        (named here: the class fixture runs before ``vector_backend``) and
+        the roofline bound of the streams it ran."""
+        reference = {}
+        for unit in units:
+            key = unit.key()
+            if key not in reference:
+                streams = lower(unit)
+                simulator = GpuSimulator(unit.config, backend="vector")
+                reference[key] = (
+                    simulator.run(streams, label=unit.label),
+                    predict_streams(streams, unit.config),
+                )
+        return reference
+
+    def test_shared_lowering_equals_the_unshared_path(self, units, reference):
         metrics = MetricsRegistry()
         shared = parallel.run_units(units, cache=False, metrics=metrics)
         reused = metrics.counter("sim.lower.reused")
         lowered = metrics.timers["sim.lower"].count
         assert reused > 0
         assert lowered + reused == metrics.counter("sim.cache.misses")
-        reference = {}
         for unit, result in zip(units, shared):
-            key = unit.key()
-            if key not in reference:
-                reference[key] = unshared(unit)
-            assert_results_identical(
-                result, replace(reference[key], label=unit.label)
-            )
+            expected, _ = reference[unit.key()]
+            assert_results_identical(result, replace(expected, label=unit.label))
+
+    def test_des_never_beats_the_roofline(self, units, reference):
+        below = [
+            (result.label, result.cycles, bound.cycles)
+            for result, bound in reference.values()
+            if result.cycles < bound.cycles
+        ]
+        assert len(reference) > 100
+        assert below == []
 
     def test_simulate_unit_leaves_counter_caches_deferred(self, units, monkeypatch):
         made = []

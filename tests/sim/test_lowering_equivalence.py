@@ -3,13 +3,13 @@
 :mod:`repro.sim.workloads` computes per-request addresses, sizes and
 criticality in bulk; ``reference_lowering`` is the object-by-object
 lowering it replaced.  For every input below the two must agree on every
-request (address, size, access, criticality, ``sm_id``, tag), every step
-(cycles, instructions), the per-SM step counts, the heap allocations, and
-the byte-for-byte ``dump_streams`` trace.  The flat arrays the vector
-engine compiles are checked too, against a flattening of the reference.
+request (address, size, access, criticality, ``sm_id``), every step
+(cycles, instructions), the per-SM step counts and the heap allocations.
+The flat arrays the vector engine compiles are checked too, against a
+flattening of the reference, and so are the trace statistics summed from
+them, against a walk over the materialised steps.
 """
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -22,20 +22,15 @@ from repro.core.plan import LayerTraffic, ModelEncryptionPlan
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.sim.config import gtx480_config
+from repro.sim.roofline import trace_stats
 from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
 from repro.sim.sm import LoweredStreams
-from repro.sim.trace import dump_streams
 from repro.sim.workloads import MAX_STEPS_PER_SM, layer_streams, matmul_traffic
 
 from . import reference_lowering
+from .test_trace import walk_stats
 
 CONFIG = gtx480_config("none")
-
-
-def dump(streams) -> str:
-    buffer = io.StringIO()
-    dump_streams(streams, buffer)
-    return buffer.getvalue()
 
 
 def assert_lowerings_identical(config, traffic, tile=32):
@@ -51,16 +46,16 @@ def assert_lowerings_identical(config, traffic, tile=32):
     assert lowered.sm_steps.tolist() == [len(stream) for stream in reference]
     for field in ("address", "size", "is_read", "encrypted"):
         assert np.array_equal(getattr(lowered, field), getattr(flat, field)), field
-    assert [lowered.tags[t] for t in lowered.tag.tolist()] == [
-        flat.tags[t] for t in flat.tag.tolist()
-    ]
     for field in ("step_cycles", "step_instructions", "step_reads", "step_writes"):
         assert getattr(lowered, field).tolist() == getattr(flat, field).tolist(), field
+
+    stats = trace_stats(lowered)
+    assert lowered._steps is None
 
     # The materialised view: every TileStep and MemRequest field.
     assert len(lowered) == len(reference) == config.num_sms
     assert list(lowered) == reference
-    assert dump(lowered) == dump(reference)
+    assert stats == walk_stats(lowered)
 
 
 def fig7_lowerings():

@@ -1,6 +1,5 @@
-"""Trace export/import tests: round trips, stats, replay equivalence."""
-
-import io
+"""Trace statistics: array sums over the lowered streams, pinned to the
+object walk they replaced."""
 
 import pytest
 
@@ -9,73 +8,47 @@ from repro.core.plan import ModelEncryptionPlan
 from repro.nn.layers import set_init_rng
 from repro.nn.models import vgg16
 from repro.sim.config import gtx480_config
-from repro.sim.gpu import GpuSimulator
-from repro.sim.trace import dump_streams, load_streams, trace_stats
+from repro.sim.request import Access, MemRequest
+from repro.sim.roofline import TraceStats, predict_streams, trace_stats
+from repro.sim.sm import TileStep
 from repro.sim.workloads import layer_streams, matmul_streams
 
 CONFIG = gtx480_config("direct", selective=True)
 
 
+def walk_stats(streams) -> TraceStats:
+    """The object walk over :class:`TileStep` lists that
+    :func:`trace_stats` replaced: the oracle for its array sums (see also
+    ``tests/sim/test_lowering_equivalence.py``)."""
+    steps = requests = read_bytes = write_bytes = encrypted = 0
+    compute = instructions = 0
+    for stream in streams:
+        for step in stream:
+            steps += 1
+            compute += step.compute_cycles
+            instructions += step.instructions
+            for request in step.reads + step.writes:
+                requests += 1
+                if request.is_read:
+                    read_bytes += request.size
+                else:
+                    write_bytes += request.size
+                if request.encrypted:
+                    encrypted += request.size
+    return TraceStats(
+        steps=steps,
+        requests=requests,
+        read_bytes=read_bytes,
+        write_bytes=write_bytes,
+        encrypted_bytes=encrypted,
+        compute_cycles=compute,
+        instructions=instructions,
+    )
+
+
 @pytest.fixture(scope="module")
 def streams():
     return matmul_streams(CONFIG, 128, 128, 128, heap=SecureHeap())
-
-
-class TestRoundTrip:
-    def test_structure_preserved(self, streams):
-        buffer = io.StringIO()
-        dump_streams(streams, buffer)
-        buffer.seek(0)
-        restored = load_streams(buffer)
-        assert len(restored) == len([s for s in streams if s]) or len(restored) <= len(streams)
-        flat_a = [step for stream in streams for step in stream]
-        flat_b = [step for stream in restored for step in stream]
-        assert len(flat_a) == len(flat_b)
-
-    def test_requests_identical(self, streams):
-        buffer = io.StringIO()
-        dump_streams(streams, buffer)
-        buffer.seek(0)
-        restored = load_streams(buffer)
-        for original, loaded in zip(streams, restored):
-            for a, b in zip(original, loaded):
-                assert a.compute_cycles == b.compute_cycles
-                assert a.instructions == b.instructions
-                assert a.reads == b.reads
-                assert a.writes == b.writes
-
-    def test_replay_gives_identical_simulation(self, streams):
-        buffer = io.StringIO()
-        dump_streams(streams, buffer)
-        buffer.seek(0)
-        restored = load_streams(buffer)
-        first = GpuSimulator(CONFIG).run(streams)
-        second = GpuSimulator(CONFIG).run(restored)
-        assert first.cycles == second.cycles
-        assert first.instructions == second.instructions
-        assert first.data_bytes == second.data_bytes
-
-    def test_line_count(self, streams):
-        buffer = io.StringIO()
-        count = dump_streams(streams, buffer)
-        assert count == len(buffer.getvalue().splitlines())
-
-
-class TestParsing:
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="malformed"):
-            load_streams(io.StringIO("0 0 R\n"))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown record"):
-            load_streams(io.StringIO("0 0 X 1 2\n"))
-
-    def test_empty_trace(self):
-        assert load_streams(io.StringIO("")) == []
-
-    def test_blank_lines_ignored(self):
-        restored = load_streams(io.StringIO("\n0 0 C 5 5\n\n"))
-        assert restored[0][0].compute_cycles == 5
 
 
 class TestStats:
@@ -85,6 +58,13 @@ class TestStats:
         assert stats.encrypted_fraction == pytest.approx(1.0)
         assert stats.requests > 0
         assert stats.compute_cycles > 0
+
+    def test_lowered_streams_stay_unmaterialised(self):
+        lowered = matmul_streams(CONFIG, 256, 256, 256, heap=SecureHeap())
+        stats = trace_stats(lowered)
+        predict_streams(lowered, CONFIG)
+        assert lowered._steps is None
+        assert stats == walk_stats(lowered)
 
     def test_seal_layer_encrypted_fraction_matches_plan(self):
         # The simulator amplifies operand reuse per category, so the trace
@@ -118,9 +98,6 @@ class TestStats:
         )
 
     def test_intensity_definition(self):
-        from repro.sim.sm import TileStep
-        from repro.sim.request import Access, MemRequest
-
         streams = [
             [
                 TileStep(
@@ -130,4 +107,5 @@ class TestStats:
             ]
         ]
         stats = trace_stats(streams)
+        assert stats == walk_stats(streams)
         assert stats.arithmetic_intensity == pytest.approx(2.0)
