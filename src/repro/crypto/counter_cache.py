@@ -111,6 +111,19 @@ class _CacheLine:
     counters: dict[int, int] = field(default_factory=dict)
 
 
+class _EmptyState:
+    """A fresh cache's state loader: ``num_sets`` empty sets and an empty
+    backing store."""
+
+    __slots__ = ("num_sets",)
+
+    def __init__(self, num_sets: int) -> None:
+        self.num_sets = num_sets
+
+    def __call__(self) -> tuple[list[OrderedDict[int, _CacheLine]], dict[int, int]]:
+        return [OrderedDict() for _ in range(self.num_sets)], {}
+
+
 class CounterCache:
     """Set-associative LRU counter cache.
 
@@ -129,13 +142,16 @@ class CounterCache:
     re-encrypt under ``new_base``, exactly what the hardware's
     re-encryption sweep does.
 
-    The set and backing-store state may be *deferred*: the simulator's
-    native kernel leaves it in dense arrays and hands the cache a loader
+    The set and backing-store state may be *deferred*: a fresh cache
+    holds a loader of the empty state, and the simulator's native kernel
+    leaves its state in dense arrays and hands the cache a loader over them
     (:meth:`defer_state`).  The first read of ``_sets`` or ``_backing`` —
     an ``access``, ``counter_of``, ``flush``, ``occupancy`` or the next
     native run — calls the loader once and stores what it returns; until
-    then no per-set object exists.  Pickling writes the loaded state and
-    leaves the cache deferred.  ``stats`` is never deferred.
+    then no per-set object exists.  A native run skips an
+    :attr:`untouched` cache's state without loading it.  Pickling writes
+    the loaded state and leaves the cache deferred.  ``stats`` is never
+    deferred.
     """
 
     def __init__(
@@ -153,12 +169,17 @@ class CounterCache:
         self._num_sets = self.config.num_sets
         self._block_span = self.config.data_bytes_per_counter_block
         self._minor_limit = 1 << self.config.minor_counter_bits
-        # One OrderedDict per set: maps tag -> _CacheLine, LRU at the front.
-        self._sets: list[OrderedDict[int, _CacheLine]] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
-        # Backing store of architectural counters (what DRAM would hold).
-        self._backing: dict[int, int] = {}
+        # ``_sets`` holds one OrderedDict per set (tag -> _CacheLine, LRU at
+        # the front); ``_backing`` the architectural counters DRAM would
+        # hold.  Both start deferred: a simulator run that never reads
+        # them builds no per-set object.
+        self.defer_state(_EmptyState(self._num_sets))
+
+    @property
+    def untouched(self) -> bool:
+        """Whether the sets and backing store are still the initial empty
+        state, never loaded (a reader can skip them)."""
+        return isinstance(self.__dict__.get("_pending"), _EmptyState)
 
     def defer_state(self, loader) -> None:
         """Replace the set and backing-store state by ``loader``, a

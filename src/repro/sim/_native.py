@@ -5,9 +5,20 @@ operations per memory request; at that granularity the CPython interpreter
 itself is the bottleneck.  This module carries a single-file C
 implementation of the loop — the only array-level implementation, a
 replay of the scalar engine (:meth:`repro.sim.gpu.GpuSimulator._run_scalar`
-and :class:`repro.sim.memctrl.MemoryController`) over the
-structure-of-arrays produced by ``compile_streams`` — and compiles it on
-demand with the system C compiler via :mod:`cffi`'s ABI mode.
+and :class:`repro.sim.memctrl.MemoryController`) over the step skeleton
+produced by ``compile_streams`` — and compiles it on demand with the
+system C compiler via :mod:`cffi`'s ABI mode.
+
+``seal_run`` reads each request's address, size, direction and
+criticality from the lowering's own columns and decodes the rest as it
+issues it, with the scalar engine's expressions: the channel
+(``GpuSimulator._route``), the bank and row of each DRAM access, the
+servers' occupancies, the path (an encrypted request takes the
+controller's mode, any other bypasses), the MAC address and size, and in
+counter mode one batched cache lookup per covering counter block, walked
+from first to last.  The config arrives as scalars (mode, line and row
+geometry, rates, latencies).  The order-independent per-channel
+statistics are summed in the same pass into one ``chan_stats`` array.
 
 Determinism and exactness:
 
@@ -19,7 +30,7 @@ Determinism and exactness:
   and the scalar engine produce bit-identical cycle counts.
 * Integer math (addresses, counter values, set indices) is ``int64_t``
   with non-negative operands, where C ``/``/``%`` agree with Python
-  ``//``/``%``.
+  ``//``/``%`` (and a division by a power of two with a right shift).
 
 Availability is best-effort: no compiler, no cffi, or a failed build
 simply leaves :func:`load` returning ``None``, and a vector-requested run
@@ -47,26 +58,20 @@ ENV_CACHE = "REPRO_SIMKERNEL_CACHE"
 SIGNATURE = """
 double seal_run(
     long long n_sms, long long n_channels, long long n_banks,
-    double penalty, double dram_latency, double eng_latency, double verify,
-    double block_occ, long long counter_block_bytes, long long auth,
-    long long cap,
-    const signed char *path, const long long *channel, const double *occ_d,
-    const long long *bank, const long long *row, const signed char *is_read,
-    const double *occ_e, const double *occ_m,
-    const long long *tag_bank, const long long *tag_row,
-    const long long *run_start, const long long *run_count,
-    const long long *run_block, const long long *run_lines,
-    const long long *run_bank, const long long *run_row,
-    const long long *run_addr_start, const long long *run_addr,
+    long long line_bytes, long long row_bytes, double dram_rate,
+    double eng_rate, double penalty, double dram_latency,
+    double eng_latency, double verify, long long counter_block_bytes,
+    long long mode, long long auth, long long mac_bytes, long long cap,
+    const long long *address, const long long *size,
+    const signed char *is_read, const signed char *encrypted,
     const long long *sm_step_start, const long long *sm_step_end,
     const double *step_cc,
     const long long *step_read_start, const long long *step_read_end,
     const long long *step_write_start, const long long *step_write_end,
     double *dram_nf, double *dram_busy, long long *last_row,
-    double *eng_nf, double *eng_busy, long long *counter_fetch,
-    long long has_cache, long long num_sets, long long assoc,
-    long long lpb, long long minor_limit, long long span,
-    long long line_bytes,
+    double *eng_nf, double *eng_busy, long long *chan_stats,
+    long long num_sets, long long assoc, long long lpb,
+    long long minor_limit, long long span,
     long long *tags, signed char *dirty, long long *order,
     long long *setcount, signed char *present, long long *vals,
     long long *bkeys, long long *bvals, long long bcap, long long *bused,
@@ -161,12 +166,13 @@ static int64_t cache_reencrypt(Cache *ca, int64_t block, int64_t set,
 }
 
 /* `nlines` consecutive CounterCache.access calls inside one counter
- * block as one batched lookup: only the first can miss (the block is
- * resident afterwards), so statistics, LRU order and counters match the
- * per-line sequence.  `addrs` carries the per-line data addresses for
- * write runs (NULL = read run).  Returns whether the first access hit. */
+ * block, for the lines from data address `first` on, as one batched
+ * lookup: only the first can miss (the block is resident afterwards), so
+ * statistics, LRU order and counters match the per-line sequence.  A
+ * write run bumps each line's counter.  Returns whether the first access
+ * hit. */
 static int cache_access_run(Cache *ca, int64_t block, int64_t nlines,
-                            const int64_t *addrs, int64_t naddrs) {
+                            int64_t first, int write) {
     int64_t set = block % ca->num_sets;
     int64_t tag = block / ca->num_sets;
     int64_t *order = ca->order + set * ca->assoc;
@@ -215,17 +221,16 @@ static int cache_access_run(Cache *ca, int64_t block, int64_t nlines,
         ca->setcount[set] = cnt + 1;
         hit = 0;
     }
-    if (naddrs > 0) {
+    if (write) {
         int64_t slot = set * ca->assoc + w;
         int64_t *v = ca->vals + slot * ca->lpb;
         int8_t *pr = ca->present + slot * ca->lpb;
-        int64_t base_addr = block * ca->span;
-        for (int64_t k = 0; k < naddrs; k++) {
-            int64_t addr = addrs[k];
-            int64_t idx = (addr - base_addr) / ca->line_bytes;
+        int64_t idx = (first - block * ca->span) / ca->line_bytes;
+        for (int64_t k = 0; k < nlines; k++, idx++) {
             int64_t value;
             if (pr[idx]) value = v[idx];
-            else if (!backing_find(ca, addr, &value)) value = 0;
+            else if (!backing_find(ca, first + k * ca->line_bytes, &value))
+                value = 0;
             value += 1;
             if (value % ca->minor_limit == 0)
                 value = cache_reencrypt(ca, block, set, w) + 1;
@@ -237,27 +242,132 @@ static int cache_access_run(Cache *ca, int64_t block, int64_t nlines,
     return hit;
 }
 
+enum { READS, WRITES, DATA, ENCRYPTED, MAC, ENGINE_LINES, COUNTER_FETCH,
+       N_STATS };
+
+/* A positive divisor of the address decode, kept with its log2 when it is
+ * a power of two: x / d is then a shift (equal for x >= 0), which spares
+ * the per-request integer divisions at the default geometry. */
+typedef struct { int64_t d, shift; } Divisor;
+
+static Divisor divisor(int64_t d) {
+    Divisor v = {d, -1};
+    if (!(d & (d - 1)))
+        for (v.shift = 0; ((int64_t)1 << v.shift) < d; v.shift++) {}
+    return v;
+}
+
+static inline int64_t quot(Divisor v, int64_t x) {
+    return v.shift >= 0 ? x >> v.shift : x / v.d;
+}
+
 typedef struct {
-    const int8_t *path;
-    const int64_t *channel;
-    const double *occ_d;
-    const int64_t *bank, *row;
-    const int8_t *is_read;
-    const double *occ_e, *occ_m;
-    const int64_t *tag_bank, *tag_row;
-    const int64_t *run_start, *run_count;
-    const int64_t *run_block, *run_lines, *run_bank, *run_row;
-    const int64_t *run_addr_start, *run_addr;
-    double penalty, dram_latency, eng_latency, verify, block_occ;
-    int64_t counter_block_bytes, n_banks, auth, cap;
+    const int64_t *address, *size;
+    const int8_t *is_read, *encrypted;
+    int64_t n_channels;
+    Divisor line, row, banks; /* line_bytes, row_bytes, banks per channel */
+    int64_t counter_block_bytes, mode, auth, mac_bytes, cap;
+    double dram_rate, eng_rate, penalty, dram_latency, eng_latency, verify;
+    double block_occ; /* one counter-block fetch on the DRAM server */
     double *dram_nf, *dram_busy, *eng_nf, *eng_busy;
-    int64_t *last_row, *counter_fetch;
+    int64_t *last_row, *chan_stats;
     Cache *caches; /* NULL outside counter mode */
 } Ctx;
 
+/* MemoryController._dram_access: the row-buffer check of the bank and
+ * row holding `addr`, then the channel's DRAM rate server. */
+static double dram_access(Ctx *cx, int64_t c, double arrival, int64_t addr,
+                          double occ) {
+    int64_t *lr = cx->last_row + c * cx->banks.d;
+    int64_t q = quot(cx->row, addr);   /* floor(floor(a/r)/b) = a/(r*b) */
+    int64_t row = quot(cx->banks, q);
+    int64_t bank = q - row * cx->banks.d;
+    if (lr[bank] != row) {
+        lr[bank] = row;
+        arrival = arrival + cx->penalty;
+    }
+    double nf = cx->dram_nf[c];
+    double start = arrival > nf ? arrival : nf;
+    nf = start + occ;
+    cx->dram_nf[c] = nf;
+    cx->dram_busy[c] += occ;
+    return nf + cx->dram_latency;
+}
+
+/* AesEngineModel.service, from an arrival already truncated to a cycle. */
+static double engine_service(Ctx *cx, int64_t c, double arrival, double occ) {
+    double nf = cx->eng_nf[c];
+    double start = arrival > nf ? arrival : nf;
+    nf = start + occ;
+    cx->eng_nf[c] = nf;
+    cx->eng_busy[c] += occ;
+    return (double)(int64_t)(nf + cx->eng_latency);
+}
+
+/* MemoryController.submit's encrypted path for one request on channel
+ * `c`, arriving at `T`: the engine and DRAM work of the controller's
+ * mode, then the MAC traffic; returns its completion time.  In counter
+ * mode the request's lines are looked up with one batched cache access
+ * per covering counter block. */
+static double submit_encrypted(Ctx *cx, int64_t c, double T, int64_t addr,
+                               int64_t size, int rd, int64_t *st) {
+    int64_t lb = cx->line.d;
+    int64_t first = quot(cx->line, addr), last = quot(cx->line, addr + size - 1);
+    double occ_d = (double)size / cx->dram_rate;
+    double occ_e = (double)size / cx->eng_rate;
+    double completion;
+    st[ENCRYPTED] += size;
+    st[ENGINE_LINES] += 1;
+    if (cx->mode == 2) { /* counter mode */
+        Cache *ca = cx->caches + c;
+        int64_t lpb = ca->lpb; /* a block spans lpb whole lines */
+        int64_t last_block = last / lpb;
+        double avail = T;
+        for (int64_t b = first / lpb; b <= last_block; b++) {
+            /* The request's lines inside block b. */
+            int64_t lo = b * lpb, hi = lo + lpb - 1;
+            if (lo < first) lo = first;
+            if (hi > last) hi = last;
+            if (!cache_access_run(ca, b, hi - lo + 1, lo * lb, !rd)) {
+                double fetched = dram_access(cx, c, T, lo * lb, cx->block_occ);
+                st[COUNTER_FETCH] += cx->counter_block_bytes;
+                if (fetched > avail) avail = fetched;
+            }
+        }
+        double pad = engine_service(cx, c, (double)(int64_t)avail, occ_e);
+        double data_done = dram_access(cx, c, rd ? T : pad, addr, occ_d);
+        if (rd)
+            completion = (data_done > pad ? data_done : pad) + 1.0;
+        else
+            completion = data_done;
+    } else if (rd) { /* direct mode: fetch, then decrypt */
+        double data_done = dram_access(cx, c, T, addr, occ_d);
+        completion = engine_service(cx, c, (double)(int64_t)data_done, occ_e);
+    } else { /* direct mode: encrypt, then write */
+        double cipher = engine_service(cx, c, (double)(int64_t)T, occ_e);
+        completion = dram_access(cx, c, cipher, addr, occ_d);
+    }
+    if (cx->auth) { /* per-line MAC traffic + verification */
+        int64_t mac = (last - first + 1) * cx->mac_bytes;
+        st[MAC] += mac;
+        double tag_done = dram_access(cx, c, rd ? T : completion,
+                                      addr ^ ((int64_t)1 << 40),
+                                      (double)mac / cx->dram_rate);
+        if (rd)
+            completion = (completion > tag_done ? completion : tag_done)
+                         + cx->verify;
+        else
+            completion = tag_done;
+    }
+    return completion;
+}
+
 /* GpuSimulator._issue + MemoryController.submit over one contiguous
  * request range [rs, re): wave-chunked by the MSHR cap, every float
- * expression in scalar-engine order. */
+ * expression in scalar-engine order.  Each request is decoded here from
+ * its address, size and flags: its channel (GpuSimulator._route), its
+ * path (an encrypted request takes the controller's mode, any other
+ * bypasses) and the per-channel statistics. */
 static double issue_range(Ctx *cx, int64_t rs, int64_t re, double when) {
     double done = when;
     for (int64_t off = rs; off < re; off += cx->cap) {
@@ -265,131 +375,18 @@ static double issue_range(Ctx *cx, int64_t rs, int64_t re, double when) {
         int64_t hi = off + cx->cap < re ? off + cx->cap : re;
         double wave_done = T;
         for (int64_t i = off; i < hi; i++) {
-            int64_t c = cx->channel[i];
-            int8_t p = cx->path[i];
-            int64_t *lr = cx->last_row + c * cx->n_banks;
+            int64_t addr = cx->address[i], size = cx->size[i];
+            int rd = cx->is_read[i];
+            int64_t c = quot(cx->line, addr) % cx->n_channels;
+            int64_t *st = cx->chan_stats + c * N_STATS;
             double completion;
-            if (p == 0) { /* bypass: DRAM only */
-                double arrival = T;
-                if (lr[cx->bank[i]] != cx->row[i]) {
-                    lr[cx->bank[i]] = cx->row[i];
-                    arrival = T + cx->penalty;
-                }
-                double nf = cx->dram_nf[c];
-                double start = arrival > nf ? arrival : nf;
-                nf = start + cx->occ_d[i];
-                cx->dram_nf[c] = nf;
-                cx->dram_busy[c] += cx->occ_d[i];
-                completion = nf + cx->dram_latency;
-            } else if (p == 2) { /* counter mode */
-                double avail = T;
-                Cache *ca = cx->caches + c;
-                int64_t r0 = cx->run_start[i];
-                int64_t r1 = r0 + cx->run_count[i];
-                int rd = cx->is_read[i];
-                for (int64_t r = r0; r < r1; r++) {
-                    const int64_t *addrs =
-                        rd ? NULL : cx->run_addr + cx->run_addr_start[r];
-                    int64_t naddrs = rd ? 0 : cx->run_lines[r];
-                    if (!cache_access_run(ca, cx->run_block[r],
-                                          cx->run_lines[r], addrs, naddrs)) {
-                        double arrival = T;
-                        if (lr[cx->run_bank[r]] != cx->run_row[r]) {
-                            lr[cx->run_bank[r]] = cx->run_row[r];
-                            arrival = T + cx->penalty;
-                        }
-                        double nf = cx->dram_nf[c];
-                        double start = arrival > nf ? arrival : nf;
-                        nf = start + cx->block_occ;
-                        cx->dram_nf[c] = nf;
-                        cx->dram_busy[c] += cx->block_occ;
-                        cx->counter_fetch[c] += cx->counter_block_bytes;
-                        double fetched = nf + cx->dram_latency;
-                        if (fetched > avail) avail = fetched;
-                    }
-                }
-                double nf = cx->eng_nf[c];
-                double arrival = (double)(int64_t)avail;
-                double start = arrival > nf ? arrival : nf;
-                nf = start + cx->occ_e[i];
-                cx->eng_nf[c] = nf;
-                cx->eng_busy[c] += cx->occ_e[i];
-                double pad = (double)(int64_t)(nf + cx->eng_latency);
-                double data_arrival = rd ? T : pad;
-                if (lr[cx->bank[i]] != cx->row[i]) {
-                    lr[cx->bank[i]] = cx->row[i];
-                    data_arrival = data_arrival + cx->penalty;
-                }
-                nf = cx->dram_nf[c];
-                start = data_arrival > nf ? data_arrival : nf;
-                nf = start + cx->occ_d[i];
-                cx->dram_nf[c] = nf;
-                cx->dram_busy[c] += cx->occ_d[i];
-                double data_done = nf + cx->dram_latency;
-                if (rd)
-                    completion = (data_done > pad ? data_done : pad) + 1.0;
-                else
-                    completion = data_done;
-            } else { /* direct mode */
-                if (cx->is_read[i]) {
-                    double arrival = T;
-                    if (lr[cx->bank[i]] != cx->row[i]) {
-                        lr[cx->bank[i]] = cx->row[i];
-                        arrival = T + cx->penalty;
-                    }
-                    double nf = cx->dram_nf[c];
-                    double start = arrival > nf ? arrival : nf;
-                    nf = start + cx->occ_d[i];
-                    cx->dram_nf[c] = nf;
-                    cx->dram_busy[c] += cx->occ_d[i];
-                    double data_done = nf + cx->dram_latency;
-                    nf = cx->eng_nf[c];
-                    arrival = (double)(int64_t)data_done;
-                    start = arrival > nf ? arrival : nf;
-                    nf = start + cx->occ_e[i];
-                    cx->eng_nf[c] = nf;
-                    cx->eng_busy[c] += cx->occ_e[i];
-                    completion = (double)(int64_t)(nf + cx->eng_latency);
-                } else {
-                    double nf = cx->eng_nf[c];
-                    double arrival = (double)(int64_t)T;
-                    double start = arrival > nf ? arrival : nf;
-                    nf = start + cx->occ_e[i];
-                    cx->eng_nf[c] = nf;
-                    cx->eng_busy[c] += cx->occ_e[i];
-                    double cipher = (double)(int64_t)(nf + cx->eng_latency);
-                    arrival = cipher;
-                    if (lr[cx->bank[i]] != cx->row[i]) {
-                        lr[cx->bank[i]] = cx->row[i];
-                        arrival = cipher + cx->penalty;
-                    }
-                    nf = cx->dram_nf[c];
-                    start = arrival > nf ? arrival : nf;
-                    nf = start + cx->occ_d[i];
-                    cx->dram_nf[c] = nf;
-                    cx->dram_busy[c] += cx->occ_d[i];
-                    completion = nf + cx->dram_latency;
-                }
-            }
-            if (cx->auth && p) { /* per-line MAC traffic + verification */
-                double tag_arrival = cx->is_read[i] ? T : completion;
-                if (lr[cx->tag_bank[i]] != cx->tag_row[i]) {
-                    lr[cx->tag_bank[i]] = cx->tag_row[i];
-                    tag_arrival = tag_arrival + cx->penalty;
-                }
-                double nf = cx->dram_nf[c];
-                double start = tag_arrival > nf ? tag_arrival : nf;
-                nf = start + cx->occ_m[i];
-                cx->dram_nf[c] = nf;
-                cx->dram_busy[c] += cx->occ_m[i];
-                double tag_done = nf + cx->dram_latency;
-                if (cx->is_read[i])
-                    completion =
-                        (completion > tag_done ? completion : tag_done)
-                        + cx->verify;
-                else
-                    completion = tag_done;
-            }
+            st[rd ? READS : WRITES] += 1;
+            st[DATA] += size;
+            if (cx->encrypted[i] && cx->mode)
+                completion = submit_encrypted(cx, c, T, addr, size, rd, st);
+            else /* bypass: DRAM only */
+                completion = dram_access(cx, c, T, addr,
+                                         (double)size / cx->dram_rate);
             if (completion > wave_done) wave_done = completion;
         }
         done = wave_done;
@@ -399,25 +396,20 @@ static double issue_range(Ctx *cx, int64_t rs, int64_t re, double when) {
 
 double seal_run(
     int64_t n_sms, int64_t n_channels, int64_t n_banks,
-    double penalty, double dram_latency, double eng_latency, double verify,
-    double block_occ, int64_t counter_block_bytes, int64_t auth,
-    int64_t cap,
-    const int8_t *path, const int64_t *channel, const double *occ_d,
-    const int64_t *bank, const int64_t *row, const int8_t *is_read,
-    const double *occ_e, const double *occ_m,
-    const int64_t *tag_bank, const int64_t *tag_row,
-    const int64_t *run_start, const int64_t *run_count,
-    const int64_t *run_block, const int64_t *run_lines,
-    const int64_t *run_bank, const int64_t *run_row,
-    const int64_t *run_addr_start, const int64_t *run_addr,
+    int64_t line_bytes, int64_t row_bytes, double dram_rate,
+    double eng_rate, double penalty, double dram_latency,
+    double eng_latency, double verify, int64_t counter_block_bytes,
+    int64_t mode, int64_t auth, int64_t mac_bytes, int64_t cap,
+    const int64_t *address, const int64_t *size,
+    const int8_t *is_read, const int8_t *encrypted,
     const int64_t *sm_step_start, const int64_t *sm_step_end,
     const double *step_cc,
     const int64_t *step_read_start, const int64_t *step_read_end,
     const int64_t *step_write_start, const int64_t *step_write_end,
     double *dram_nf, double *dram_busy, int64_t *last_row,
-    double *eng_nf, double *eng_busy, int64_t *counter_fetch,
-    int64_t has_cache, int64_t num_sets, int64_t assoc,
-    int64_t lpb, int64_t minor_limit, int64_t span, int64_t line_bytes,
+    double *eng_nf, double *eng_busy, int64_t *chan_stats,
+    int64_t num_sets, int64_t assoc, int64_t lpb,
+    int64_t minor_limit, int64_t span,
     int64_t *tags, int8_t *dirty, int64_t *order,
     int64_t *setcount, int8_t *present, int64_t *vals,
     int64_t *bkeys, int64_t *bvals, int64_t bcap, int64_t *bused,
@@ -426,7 +418,7 @@ double seal_run(
 {
     Cache *caches = NULL;
     int8_t *scratch = NULL;
-    if (has_cache) {
+    if (mode == 2) {
         caches = (Cache *)malloc((size_t)n_channels * sizeof(Cache));
         scratch = (int8_t *)malloc((size_t)lpb);
         if (!caches || !scratch) { free(caches); free(scratch); return -1.0; }
@@ -453,14 +445,13 @@ double seal_run(
         }
     }
     Ctx cx = {
-        path, channel, occ_d, bank, row, is_read, occ_e, occ_m,
-        tag_bank, tag_row, run_start, run_count,
-        run_block, run_lines, run_bank, run_row,
-        run_addr_start, run_addr,
-        penalty, dram_latency, eng_latency, verify, block_occ,
-        counter_block_bytes, n_banks, auth, cap,
+        address, size, is_read, encrypted,
+        n_channels, divisor(line_bytes), divisor(row_bytes), divisor(n_banks),
+        counter_block_bytes, mode, auth, mac_bytes, cap,
+        dram_rate, eng_rate, penalty, dram_latency, eng_latency, verify,
+        (double)counter_block_bytes / dram_rate,
         dram_nf, dram_busy, eng_nf, eng_busy,
-        last_row, counter_fetch, caches,
+        last_row, chan_stats, caches,
     };
     int8_t *active = (int8_t *)calloc((size_t)n_sms, 1);
     if (!active) { free(caches); free(scratch); return -1.0; }
@@ -513,7 +504,7 @@ double seal_run(
         if (cend[s] > finish) finish = cend[s];
         if (wdone[s] > finish) finish = wdone[s];
     }
-    if (has_cache) {
+    if (caches) {
         for (int64_t c = 0; c < n_channels; c++) bused[c] = caches[c].bused;
     }
     free(active);

@@ -6,11 +6,16 @@ The scalar engine (:meth:`repro.sim.gpu.GpuSimulator._run_scalar` driving
 method chains — readable, but the dominant self-time cost of every
 performance figure now that the crypto fast path landed.  This module is
 the ``vector`` backend of the same simulation: it **compiles** the per-SM
-step streams into flat structure-of-arrays primitives up front (NumPy bulk
-math for the address decode, server occupancies, line/counter-block
-geometry, and every order-independent statistic), then advances the event
-loop over those arrays in the cc-compiled kernel of :mod:`repro.sim._native`,
-with no per-request object traffic.  The C source is the only array-level
+step streams into the event loop's input (step boundaries and per-SM
+totals from per-step arrays; the request columns are the lowering's own,
+passed without a copy), then advances the event loop in the cc-compiled
+kernel of :mod:`repro.sim._native`, which decodes each request's channel,
+bank, row, occupancies, path and counter-block runs from its address,
+size and flags as it issues it, and sums the order-independent
+per-channel statistics in the same pass.  The config goes in as a few
+scalars, so a stream set costs the same to compile under every scheme,
+and no per-request object or per-request array is built on this path.
+The C source is the only array-level
 implementation of the loop: when it cannot run (no C toolchain, or a
 counter-cache state it cannot represent), :func:`_run_python` runs the
 scalar engine instead and the run records ``sim.backend.scalar``.
@@ -100,55 +105,53 @@ def resolve_sim_backend(backend: str | None = None) -> str:
     return backend
 
 
-# Per-request path codes (an encrypted request under mode X takes path X;
-# plaintext requests always take the bypass path, as in the scalar engine).
+# Engine mode codes the native kernel takes: an encrypted request under
+# mode X takes path X; plaintext requests always bypass the engine, as in
+# the scalar engine.
 _BYPASS, _DIRECT, _COUNTER = 0, 1, 2
+
+#: The per-channel statistics the native kernel sums as it issues
+#: requests, in the order of its ``chan_stats`` rows.
+_CHANNEL_STATS = (
+    "read_requests",
+    "write_requests",
+    "data_bytes",
+    "encrypted_bytes",
+    "mac_bytes",
+    "engine_lines",
+    "counter_fetch_bytes",
+)
 
 _I64 = np.int64
 _EMPTY_I64 = np.zeros(0, dtype=_I64)
 
 
 class CompiledKernel:
-    """Streams compiled to the event loop's flat structure-of-arrays.
+    """Streams compiled to the event loop's input: the lowering's request
+    columns plus the step skeleton.
 
-    Built by :func:`compile_streams` from the lowering's arrays with bulk
-    NumPy only — no per-request Python object is created or visited.
-    Requests are rows across parallel arrays, indexed the way the scalar
-    engine would issue them: each step's reads and writes occupy contiguous
-    index ranges (``step_read/write_[start|end]``), steps occupy contiguous
+    Built by :func:`compile_streams` with bulk NumPy over per-step arrays
+    only.  The four request columns (``address``, ``size``, ``is_read``,
+    ``encrypted``) are the lowering's own arrays, viewed without a copy
+    (the flags as ``int8``); the native kernel decodes each request's
+    channel, bank, row, occupancies, path and counter-block runs from
+    them as it issues it.  Requests are indexed the way the scalar engine
+    would issue them: each step's reads and writes occupy contiguous index
+    ranges (``step_read/write_[start|end]``), steps occupy contiguous
     ranges per SM (``sm_step_[start|end]``), and MSHR waves are implicit —
-    every ``cap`` consecutive requests of a range form one wave.  Counter
-    requests reference runs (one batched counter-cache lookup per covering
-    counter block) in ``run_*``; write runs reference their per-line data
-    addresses in ``run_addr``.  Statistics that cannot influence timing
-    (request/byte counts per channel, engine line counts, per-SM
-    instruction totals) are reduced once at compile time instead of being
-    accumulated per request.
+    every ``cap`` consecutive requests of a range form one wave.  Per-SM
+    instruction totals are reduced here; the per-channel request and byte
+    statistics are summed by the kernel as it runs.  ``max_written_lines``
+    (counter mode only) is the most data lines written on any one channel,
+    which sizes the kernel's backing-store hash.
     """
 
     __slots__ = (
-        # per-request arrays
-        "path",
-        "channel",
-        "occ_dram",
-        "bank",
-        "row",
+        # the lowering's request columns
+        "address",
+        "size",
         "is_read",
-        "occ_engine",
-        "occ_mac",
-        "tag_bank",
-        "tag_row",
-        "run_start",
-        "run_count",
-        # per-run arrays (counter mode)
-        "run_block",
-        "run_lines",
-        "run_bank",
-        "run_row",
-        "run_channel",
-        "run_write",
-        "run_addr_start",
-        "run_addr",
+        "encrypted",
         # per-step / per-SM skeleton
         "step_cycles",
         "step_read_start",
@@ -158,20 +161,12 @@ class CompiledKernel:
         "sm_step_start",
         "sm_step_end",
         "sm_stats",
-        # order-independent statistics, per channel
-        "read_requests",
-        "write_requests",
-        "data_bytes",
-        "encrypted_bytes",
-        "bypass_bytes",
-        "mac_bytes",
-        "engine_lines",
-        "engine_bytes",
         # shape / mode
         "num_requests",
         "mode_code",
         "auth",
         "cap",
+        "max_written_lines",
     )
 
     def __init__(self, **fields):
@@ -179,14 +174,21 @@ class CompiledKernel:
             setattr(self, name, value)
 
 
+def _flags(column: np.ndarray) -> np.ndarray:
+    """A boolean request column as the kernel's ``int8`` (a view)."""
+    return np.ascontiguousarray(column, dtype=bool).view(np.int8)
+
+
 def compile_streams(
     config: GpuConfig, streams: LoweredStreams | Sequence[Sequence[TileStep]]
 ) -> CompiledKernel:
-    """Compile lowered streams into the vector engine's flat arrays.
+    """Compile lowered streams into the native kernel's input.
 
     The lowering already emits per-request and per-step arrays
-    (:class:`~repro.sim.sm.LoweredStreams`), so compilation is bulk NumPy
-    over them; hand-built :class:`TileStep` lists are flattened first.
+    (:class:`~repro.sim.sm.LoweredStreams`); hand-built :class:`TileStep`
+    lists are flattened first.  Only per-step and per-SM work happens
+    here; the one request-sized pass left is, in counter mode, the count
+    of written lines per channel over the encrypted writes.
     """
     lowered = LoweredStreams.from_steps(streams)
     encryption = config.encryption
@@ -197,8 +199,6 @@ def compile_streams(
         mode_code = _COUNTER
     else:
         mode_code = _BYPASS
-    auth = bool(encryption.authenticate and mode_code != _BYPASS)
-    cap = max(1, config.max_outstanding_per_sm)
 
     # Step boundaries as flat request indices, from one cumulative sum
     # (reads span [rs, re), writes [re, we) — writes start where reads end).
@@ -227,136 +227,30 @@ def compile_streams(
         for start, end in zip(sm_start_a.tolist(), sm_end_a.tolist())
     ]
 
-    # Pass 2: bulk array math over every request at once.
-    channels = config.num_channels
-    line_bytes = config.line_bytes
-    row_bytes = config.row_buffer_bytes
-    banks = config.banks_per_channel
-    dram_rate = config.channel_bytes_per_cycle
-    n = lowered.num_requests
-    address = lowered.address
-    sizes = lowered.size
-    enc_a = lowered.encrypted
-    read_a = lowered.is_read
-    channel = (address // line_bytes) % channels
-    bank = (address // row_bytes) % banks
-    row = address // (row_bytes * banks)
-    occ_dram = sizes / dram_rate
-    path = (
-        np.where(enc_a, mode_code, 0).astype(_I64)
-        if mode_code
-        else np.zeros(n, dtype=_I64)
-    )
-    first_line = address // line_bytes
-    last_line = (address + sizes - 1) // line_bytes
-    nlines = last_line - first_line + 1
-    occ_engine = (
-        sizes / config.engine_bytes_per_cycle
-        if encryption.enabled
-        else np.zeros(n)
-    )
-    if auth:
-        mac_size = nlines * encryption.mac_bytes
-        tag_addr = address ^ (1 << 40)
-        tag_bank = (tag_addr // row_bytes) % banks
-        tag_row = tag_addr // (row_bytes * banks)
-        occ_mac = mac_size / dram_rate
-    else:
-        mac_size = np.zeros(n, dtype=_I64)
-        tag_bank = np.zeros(n, dtype=_I64)
-        tag_row = np.zeros(n, dtype=_I64)
-        occ_mac = np.zeros(n)
-
-    # Counter-block runs: group each counter request's consecutive cache
-    # lines by covering counter block.  The scalar engine looks the cache
-    # up once per line; within one block only the *first* of those
-    # consecutive lookups can miss (the block is resident afterwards and
-    # nothing intervenes), so the native kernel performs one batched
-    # lookup per run with identical statistics and LRU state.  All ragged
-    # structure is built with cumsum/repeat idioms; no per-request Python.
-    run_start = np.zeros(n, dtype=_I64)
-    run_count = np.zeros(n, dtype=_I64)
-    run_block = run_lines = run_bank = run_row = _EMPTY_I64
-    run_channel = run_addr_start = run_addr = _EMPTY_I64
-    run_write = np.zeros(0, dtype=bool)
-    if mode_code == _COUNTER and n:
-        span = encryption.counter_cache.data_bytes_per_counter_block
-        enc_idx = np.nonzero(enc_a)[0]
-        first_block = (first_line[enc_idx] * line_bytes) // span
-        last_block = (last_line[enc_idx] * line_bytes) // span
-        nruns = last_block - first_block + 1
-        starts = np.cumsum(nruns) - nruns
-        run_count[enc_idx] = nruns
-        run_start[enc_idx] = starts
-        total = int(nruns.sum())
-        owner = np.repeat(enc_idx, nruns)
-        offsets = np.arange(total, dtype=_I64) - np.repeat(starts, nruns)
-        run_block = np.repeat(first_block, nruns) + offsets
-        # First/last data line of each run: the request's own span clipped
-        # to the block (ceil/floor divisions, all operands non-negative).
-        lo = np.maximum(
-            first_line[owner],
-            (run_block * span + line_bytes - 1) // line_bytes,
-        )
-        hi = np.minimum(
-            last_line[owner], ((run_block + 1) * span - 1) // line_bytes
-        )
-        run_lines = hi - lo + 1
-        first_addr = lo * line_bytes
-        run_bank = (first_addr // row_bytes) % banks
-        run_row = first_addr // (row_bytes * banks)
-        run_channel = channel[owner]
-        run_write = ~read_a[owner]
-        addr_counts = np.where(run_write, run_lines, 0)
-        run_addr_start = np.cumsum(addr_counts) - addr_counts
-        write_lines = run_lines[run_write]
-        addr_total = int(write_lines.sum())
-        write_starts = np.cumsum(write_lines) - write_lines
-        addr_offsets = np.arange(addr_total, dtype=_I64) - np.repeat(
-            write_starts, write_lines
-        )
-        run_addr = (np.repeat(lo[run_write], write_lines) + addr_offsets) * line_bytes
-
-    # Order-independent per-channel statistics, reduced once.  bincount
-    # accumulates in float64, exact for byte totals far below 2**53.
-    def _by_channel(mask, weights=None):
-        if not n:
-            return [0] * channels
-        chan = channel[mask] if mask is not None else channel
-        if weights is None:
-            return np.bincount(chan, minlength=channels).tolist()
-        w = weights[mask] if mask is not None else weights
-        return (
-            np.bincount(chan, weights=w, minlength=channels)
-            .astype(_I64)
-            .tolist()
-        )
-
-    enc_mask = path > 0
-    data_bytes = _by_channel(None, sizes)
-    encrypted_bytes = _by_channel(enc_mask, sizes)
+    # Written data lines per channel: every counter-mode write bumps one
+    # counter per line, and the busiest channel bounds the number of new
+    # backing-store keys a run can insert.
+    max_written_lines = 0
+    if mode_code == _COUNTER:
+        written = lowered.encrypted & ~lowered.is_read
+        if written.any():
+            address = lowered.address[written]
+            line_bytes = config.line_bytes
+            first_line = address // line_bytes
+            lines = (address + lowered.size[written] - 1) // line_bytes - first_line + 1
+            max_written_lines = int(
+                np.bincount(
+                    first_line % config.num_channels,
+                    weights=lines,
+                    minlength=config.num_channels,
+                ).max()
+            )
 
     return CompiledKernel(
-        path=path.astype(np.int8),
-        channel=channel,
-        occ_dram=occ_dram,
-        bank=bank,
-        row=row,
-        is_read=read_a.astype(np.int8),
-        occ_engine=occ_engine,
-        occ_mac=occ_mac,
-        tag_bank=tag_bank,
-        tag_row=tag_row,
-        run_start=run_start,
-        run_count=run_count,
-        run_block=run_block,
-        run_lines=run_lines,
-        run_bank=run_bank,
-        run_row=run_row,
-        run_channel=run_channel,
-        run_write=run_write,
-        run_addr_start=run_addr_start,
-        run_addr=run_addr,
+        address=np.ascontiguousarray(lowered.address, dtype=_I64),
+        size=np.ascontiguousarray(lowered.size, dtype=_I64),
+        is_read=_flags(lowered.is_read),
+        encrypted=_flags(lowered.encrypted),
         step_cycles=lowered.step_cycles.astype(np.float64),
         step_read_start=step_rs_a,
         step_read_end=step_re_a,
@@ -365,18 +259,11 @@ def compile_streams(
         sm_step_start=sm_start_a,
         sm_step_end=sm_end_a,
         sm_stats=sm_stats,
-        read_requests=_by_channel(read_a),
-        write_requests=_by_channel(~read_a),
-        data_bytes=data_bytes,
-        encrypted_bytes=encrypted_bytes,
-        bypass_bytes=[d - e for d, e in zip(data_bytes, encrypted_bytes)],
-        mac_bytes=_by_channel(enc_mask, mac_size) if auth else [0] * channels,
-        engine_lines=_by_channel(enc_mask),
-        engine_bytes=encrypted_bytes,
-        num_requests=n,
+        num_requests=lowered.num_requests,
         mode_code=mode_code,
-        auth=auth,
-        cap=cap,
+        auth=bool(encryption.authenticate and mode_code != _BYPASS),
+        cap=max(1, config.max_outstanding_per_sm),
+        max_written_lines=max_written_lines,
     )
 
 
@@ -406,27 +293,30 @@ def run_vector(
     outcome = _run_native(native, config, controllers, compiled)
     if outcome is None:
         return None
-    finish, ready, cend, wdone, next_abs, counter_fetch = outcome
+    finish, ready, cend, wdone, next_abs, channel_stats = outcome
 
-    # Static statistics and post-run conditional stat snapshots (the
-    # scalar engine refreshes the busy-cycle snapshots after every access;
-    # net effect: updated iff the channel/engine was touched at all).
-    for c, mc in enumerate(controllers):
+    # Per-channel statistics the kernel summed, and post-run conditional
+    # stat snapshots (the scalar engine refreshes the busy-cycle snapshots
+    # after every access; net effect: updated iff the channel/engine was
+    # touched at all).
+    for mc, (reads, writes, data, encrypted, mac, lines, fetch) in zip(
+        controllers, channel_stats
+    ):
         stats = mc.stats
-        stats.read_requests += compiled.read_requests[c]
-        stats.write_requests += compiled.write_requests[c]
-        stats.data_bytes += compiled.data_bytes[c]
-        stats.encrypted_bytes += compiled.encrypted_bytes[c]
-        stats.bypass_bytes += compiled.bypass_bytes[c]
-        stats.mac_bytes += compiled.mac_bytes[c]
-        stats.counter_fetch_bytes += counter_fetch[c]
-        if compiled.data_bytes[c] or counter_fetch[c]:
+        stats.read_requests += reads
+        stats.write_requests += writes
+        stats.data_bytes += data
+        stats.encrypted_bytes += encrypted
+        stats.bypass_bytes += data - encrypted
+        stats.mac_bytes += mac
+        stats.counter_fetch_bytes += fetch
+        if data or fetch:
             stats.dram_busy_cycles = mc._dram.busy
         engine = mc.engine
         if engine is not None:
-            engine.lines_processed += compiled.engine_lines[c]
-            engine.bytes_processed += compiled.engine_bytes[c]
-            if compiled.engine_lines[c]:
+            engine.lines_processed += lines
+            engine.bytes_processed += encrypted
+            if lines:
                 stats.engine_busy_cycles = engine.busy_cycles
 
     sm_start = compiled.sm_step_start
@@ -457,12 +347,16 @@ def _run_native(native, config, controllers, compiled):
 
     State goes in and out differently.  The caches' sets and backing
     store are read into the dense arrays (a cache still deferred from an
-    earlier run materialises here first).  After the run, the timing state
-    and the cache statistics are written back at once, but each cache's
-    sets and backing store are handed over as a loader over the arrays
+    earlier run materialises here first; an :attr:`untouched
+    <repro.crypto.counter_cache.CounterCache.untouched>` one is skipped,
+    since the arrays start empty).  After the run, the timing state and
+    the cache statistics are written back at once, but each cache's sets
+    and backing store are handed over as a loader over the arrays
     (:meth:`CounterCache.defer_state
-    <repro.crypto.counter_cache.CounterCache.defer_state>`).  The array
-    arguments are passed as zero-copy ``ffi.from_buffer`` views.
+    <repro.crypto.counter_cache.CounterCache.defer_state>`).  The config
+    goes in as scalars and the arrays as zero-copy ``ffi.from_buffer``
+    views.  Returns the finish time, the per-SM timing arrays and, per
+    channel, the statistics the kernel summed (:data:`_CHANNEL_STATS`).
     """
     ffi, lib = native
     channels = config.num_channels
@@ -473,8 +367,6 @@ def _run_native(native, config, controllers, compiled):
 
     has_cache = compiled.mode_code == _COUNTER
     num_sets = assoc = lines_per_block = minor_limit = span = 1
-    tags = dirty = order = setcount = present = values = None
-    bkeys = bvals = bused = cache_stats = None
     bcap = 2
     if has_cache:
         if any(cache is None or cache._on_reencrypt is not None for cache in caches):
@@ -502,9 +394,18 @@ def _run_native(native, config, controllers, compiled):
         setcount = np.zeros(channels * num_sets, dtype=_I64)
         present = np.zeros(channels * num_sets * assoc * lines_per_block, np.int8)
         values = np.zeros(channels * num_sets * assoc * lines_per_block, _I64)
-        cache_stats = np.zeros(channels * 6, dtype=_I64)
+        cache_stats = np.array(
+            [
+                (stats.hits, stats.misses, stats.evictions, stats.writebacks,
+                 stats.reencryptions, stats.reencrypted_lines)
+                for stats in (cache.stats for cache in caches)
+            ],
+            dtype=_I64,
+        ).ravel()
+        # Caches whose sets and backing store must be imported.
+        loaded = [(c, cache) for c, cache in enumerate(caches) if not cache.untouched]
         imported = 0
-        for c, cache in enumerate(caches):
+        for c, cache in loaded:
             resident_counters = 0
             for set_index, cache_set in enumerate(cache._sets):
                 if not cache_set:  # the arrays start empty
@@ -531,34 +432,16 @@ def _run_native(native, config, controllers, compiled):
             # Resident line counters can reach the backing store through
             # later writebacks even if never written this run.
             imported = max(imported, len(cache._backing) + resident_counters)
-            stats = cache.stats
-            cache_stats[c * 6 : c * 6 + 6] = (
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-                stats.writebacks,
-                stats.reencryptions,
-                stats.reencrypted_lines,
-            )
         # Backing store: open-addressed hash, sized so it can absorb every
         # imported key plus every distinct written line address with at
         # most 50% load (insert count is bounded by those two sets).
-        max_addrs = 0
-        if compiled.run_addr.size:
-            max_addrs = int(
-                np.bincount(
-                    compiled.run_channel[compiled.run_write],
-                    weights=compiled.run_lines[compiled.run_write],
-                    minlength=channels,
-                ).max()
-            )
-        need = imported + max_addrs + 16
+        need = imported + compiled.max_written_lines + 16
         bcap = 1 << (2 * need - 1).bit_length()
         bkeys = np.full(channels * bcap, -1, dtype=_I64)
         bvals = np.zeros(channels * bcap, dtype=_I64)
         bused = np.zeros(channels, dtype=_I64)
         mask = bcap - 1
-        for c, cache in enumerate(caches):
+        for c, cache in loaded:
             base = c * bcap
             for key, value in cache._backing.items():
                 h = (key * 0x9E3779B97F4A7C15) & mask
@@ -588,7 +471,7 @@ def _run_native(native, config, controllers, compiled):
     eng_busy = np.array(
         [0.0 if e is None else e.busy_cycles for e in engines], np.float64
     )
-    counter_fetch = np.zeros(channels, dtype=_I64)
+    channel_stats = np.zeros(channels * len(_CHANNEL_STATS), dtype=_I64)
 
     num_streams = len(compiled.sm_step_start)
     ready = np.zeros(num_streams, np.float64)
@@ -610,32 +493,23 @@ def _run_native(native, config, controllers, compiled):
         num_streams,
         channels,
         banks,
+        line_bytes,
+        config.row_buffer_bytes,
+        float(config.channel_bytes_per_cycle),
+        float(config.engine_bytes_per_cycle),
         float(config.row_miss_penalty_cycles),
         float(config.dram_latency_cycles),
         float(encryption.engine.latency_cycles),
         float(encryption.mac_verify_cycles),
-        _COUNTER_BLOCK_BYTES / config.channel_bytes_per_cycle,
         _COUNTER_BLOCK_BYTES,
+        compiled.mode_code,
         1 if compiled.auth else 0,
+        encryption.mac_bytes,
         compiled.cap,
-        i8(compiled.path),
-        i64(compiled.channel),
-        f64(compiled.occ_dram),
-        i64(compiled.bank),
-        i64(compiled.row),
+        i64(compiled.address),
+        i64(compiled.size),
         i8(compiled.is_read),
-        f64(compiled.occ_engine),
-        f64(compiled.occ_mac),
-        i64(compiled.tag_bank),
-        i64(compiled.tag_row),
-        i64(compiled.run_start),
-        i64(compiled.run_count),
-        i64(compiled.run_block),
-        i64(compiled.run_lines),
-        i64(compiled.run_bank),
-        i64(compiled.run_row),
-        i64(compiled.run_addr_start),
-        i64(compiled.run_addr),
+        i8(compiled.encrypted),
         i64(compiled.sm_step_start),
         i64(compiled.sm_step_end),
         f64(compiled.step_cycles),
@@ -648,14 +522,12 @@ def _run_native(native, config, controllers, compiled):
         i64(last_row),
         f64(eng_nf),
         f64(eng_busy),
-        i64(counter_fetch),
-        1 if has_cache else 0,
+        i64(channel_stats),
         num_sets,
         assoc,
         lines_per_block,
         minor_limit,
         span,
-        line_bytes,
         i64(tags),
         i8(dirty),
         i64(order),
@@ -713,7 +585,7 @@ def _run_native(native, config, controllers, compiled):
         cend,
         wdone,
         next_abs,
-        counter_fetch.tolist(),
+        channel_stats.reshape(channels, len(_CHANNEL_STATS)).tolist(),
     )
 
 

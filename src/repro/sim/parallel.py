@@ -208,18 +208,19 @@ class SimUnit:
 
 def _lowering_key(unit: SimUnit) -> tuple:
     """Everything :func:`~repro.sim.workloads.layer_streams` reads of a
-    unit: the config's four geometry fields, the tagged traffic and the
-    tile.  The traffic's name comes along with the record but does not
-    reach the streams (it only names the throwaway heap's regions).  Units
-    that differ only in the memory controller's engine share one stream
-    set."""
+    unit: the config's four geometry fields, the tagged traffic without
+    its name and the tile.  The name does not reach the streams (it only
+    names the throwaway heap's regions), so it is left out, as
+    :func:`cache_key` leaves it out.  Units that differ only in the
+    memory controller's engine, or in the name of a same-shape layer,
+    share one stream set."""
     config = unit.config
     return (
         config.num_sms,
         config.line_bytes,
         config.macs_per_sm_per_cycle,
         config.num_channels,
-        unit.traffic,
+        replace(unit.traffic, name=""),
         unit.tile,
     )
 

@@ -4,9 +4,10 @@ The vector backend's contract is *bit-identical* results — not merely
 close — on every observable: SimResult fields, per-SM occupancy, memory
 controller statistics, counter-cache statistics **and internal state**
 (LRU order, per-line counters, backing store), and the ``sim.*`` metrics
-counters.  This suite pins that contract over the golden IPC workloads
-and over randomized configurations (SM counts, encryption ratios,
-channel/engine counts, tile sizes).  It also pins the fallback: when the
+counters.  This suite pins that contract over the golden IPC workloads,
+over randomized configurations (SM counts, encryption ratios,
+channel/engine counts, tile sizes) and over randomized address geometry
+with hand-built request streams (the native kernel's request decode).  It also pins the fallback: when the
 native kernel cannot run (a broken toolchain, or a counter cache it cannot
 represent), a vector-requested run is the scalar engine, recorded as
 ``sim.backend.scalar``.
@@ -21,12 +22,15 @@ from hypothesis import strategies as st
 
 from repro.core.memory import SecureHeap
 from repro.core.plan import LayerTraffic, ModelEncryptionPlan
+from repro.crypto.counter_cache import CounterCacheConfig
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sim import _native, engine
 from repro.sim.gpu import GpuSimulator
+from repro.sim.request import Access, MemRequest
 from repro.sim.runner import SCHEMES, scheme_config, tag_traffic
+from repro.sim.sm import TileStep
 from repro.sim.workloads import layer_streams
 
 from .test_golden_ipc import assert_results_identical
@@ -224,6 +228,100 @@ class TestRandomizedConfigs:
         )
         for scheme in ("Counter", "SEAL-D"):
             assert_backends_identical(scheme_config(scheme), traffic, scheme)
+
+
+def _request(access):
+    return st.builds(
+        MemRequest,
+        address=st.integers(min_value=0, max_value=1 << 16),
+        size=st.integers(min_value=1, max_value=3000),
+        access=st.just(access),
+        encrypted=st.booleans(),
+    )
+
+
+_steps = st.builds(
+    TileStep,
+    compute_cycles=st.integers(min_value=0, max_value=300),
+    reads=st.lists(_request(Access.READ), max_size=5).map(tuple),
+    writes=st.lists(_request(Access.WRITE), max_size=5).map(tuple),
+)
+
+
+class TestRandomizedDecode:
+    """The request decode inside the native kernel (channel, bank and row,
+    occupancies, MAC traffic, counter-block runs) over geometry the
+    lowering never produces: hand-built streams of unaligned requests
+    that straddle counter blocks, row buffers that are not powers of two,
+    small caches with short minor counters.  Each case runs twice on one
+    simulator, so the second run imports warm cache state."""
+
+    @given(
+        line_bytes=st.sampled_from([32, 64, 128, 256]),
+        row_bytes=st.sampled_from([1000, 1536, 2048, 3000, 4096]),
+        banks=st.sampled_from([1, 3, 4, 16]),
+        num_channels=st.sampled_from([1, 2, 3, 6]),
+        lines_per_block=st.sampled_from([1, 2, 8, 32]),
+        associativity=st.sampled_from([1, 2, 4]),
+        sets=st.sampled_from([1, 2, 3]),
+        minor_bits=st.sampled_from([2, 7]),
+        authenticate=st.booleans(),
+        mac_bytes=st.sampled_from([4, 8, 16]),
+        scheme=st.sampled_from(SCHEMES),
+        streams=st.lists(st.lists(_steps, min_size=1, max_size=4), min_size=1, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hand_built_streams_identical(
+        self,
+        line_bytes,
+        row_bytes,
+        banks,
+        num_channels,
+        lines_per_block,
+        associativity,
+        sets,
+        minor_bits,
+        authenticate,
+        mac_bytes,
+        scheme,
+        streams,
+    ):
+        base = scheme_config(scheme)
+        config = replace(
+            base,
+            line_bytes=line_bytes,
+            row_buffer_bytes=row_bytes,
+            banks_per_channel=banks,
+            num_channels=num_channels,
+            encryption=replace(
+                base.encryption,
+                authenticate=authenticate,
+                mac_bytes=mac_bytes,
+                counter_cache=CounterCacheConfig(
+                    size_bytes=64 * associativity * sets,
+                    associativity=associativity,
+                    data_bytes_per_counter_block=lines_per_block * line_bytes,
+                    minor_counter_bits=minor_bits,
+                ),
+            ),
+        )
+        states = {}
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            for backend in ("scalar", "vector"):
+                simulator = GpuSimulator(config, backend=backend)
+                states[backend] = [
+                    full_state(simulator, simulator.run(streams)) for _ in range(2)
+                ]
+        finally:
+            set_metrics(previous)
+        assert states["scalar"] == states["vector"]
+        if _native.load() is not None:
+            assert _backend_counters(registry) == {
+                "sim.backend.scalar": 2,
+                "sim.backend.vector": 2,
+            }
 
 
 class TestMetricsCounters:

@@ -1,7 +1,8 @@
 """Deferred counter-cache state and shared lowerings, pinned bit for bit.
 
-After a native run the counter caches hold a loader over the kernel's
-dense arrays instead of their sets and backing store
+A fresh counter cache holds a loader of the empty state, and after a
+native run the caches hold a loader over the kernel's dense arrays,
+instead of their sets and backing store
 (:meth:`repro.crypto.counter_cache.CounterCache.defer_state`), and
 :func:`repro.sim.parallel.run_units` lowers each stream set once for all
 the units that share it.  Neither may change an observable:
@@ -10,6 +11,8 @@ the units that share it.  Neither may change an observable:
   repeats and a vector run followed by a scalar one on one simulator;
 * the state read through pickling (which leaves the cache deferred)
   equals the state after materialisation;
+* a fresh cache acts and pickles as an empty one, and a native run
+  skips its state without loading it;
 * a Fig 7 unit run through :func:`~repro.sim.parallel.simulate_unit`
   leaves its caches deferred;
 * every Fig 7 unit's result equals the unshared per-unit path below,
@@ -23,6 +26,7 @@ import pytest
 
 from repro.core.memory import SecureHeap
 from repro.core.plan import ModelEncryptionPlan
+from repro.crypto import counter_cache
 from repro.crypto.counter_cache import CounterCache, CounterCacheConfig
 from repro.nn.layers import set_init_rng
 from repro.nn.models import build_model
@@ -147,6 +151,70 @@ class TestMaterialisation:
             cache.no_such_field
         assert not hasattr(cache, "__setstate__")
         assert deferred(cache)
+
+
+class TestFreshCache:
+    """A fresh cache starts deferred on an empty-state loader: it behaves
+    as an empty cache everywhere, and a native run skips its state."""
+
+    def test_fresh_cache_is_untouched_and_deferred(self):
+        cache = CounterCache()
+        assert cache.untouched and deferred(cache)
+        assert cache.occupancy == 0
+        assert not cache.untouched and not deferred(cache)
+
+    def test_access_matches_a_materialised_cache(self):
+        config = CounterCacheConfig(size_bytes=4096, data_bytes_per_counter_block=512)
+        fresh, loaded = CounterCache(config), CounterCache(config)
+        assert loaded._sets and loaded._backing == {}  # materialise first
+        sequence = [(a * 128, a % 3 == 0) for a in range(0, 400, 7)] * 2
+        hits = [
+            (fresh.access(a, write=w), loaded.access(a, write=w)) for a, w in sequence
+        ]
+        assert all(x == y for x, y in hits) and any(x for x, _ in hits)
+        assert fresh.stats == loaded.stats
+        assert fresh.occupancy == loaded.occupancy
+        assert fresh._backing == loaded._backing
+        assert [list(s.items()) for s in fresh._sets] == [
+            list(s.items()) for s in loaded._sets
+        ]
+
+    def test_pickling_a_fresh_cache(self):
+        cache = CounterCache(CounterCacheConfig(size_bytes=4096))
+        restored = pickle.loads(pickle.dumps(cache))
+        assert cache.untouched
+        assert not deferred(restored)
+        assert restored._sets == [{} for _ in range(cache._num_sets)]
+        assert restored._backing == {} and restored.stats == cache.stats
+        restored.access(0, write=True)
+        assert restored.counter_of(0) == 1
+
+    @pytest.mark.parametrize("scheme", COUNTER_SCHEMES)
+    def test_native_run_skips_untouched_caches(self, layer, scheme, monkeypatch):
+        # Channel 0's cache is read before the run, the others are not:
+        # both kinds must leave the scalar engine's state.
+        if _native.load() is None:
+            pytest.skip("no native kernel: the vector run is the scalar engine")
+        config = scheme_config(scheme, counter_cache_kb=24)
+        tagged = tag_traffic(layer, config.encryption)
+        states = {}
+        for backend in ("scalar", "vector"):
+            simulator = GpuSimulator(config, backend=backend)
+            simulator.controllers[0].counter_cache.access(0, write=True)
+            with monkeypatch.context() as patched:
+                if backend == "vector":
+                    assert [cache.untouched for cache in caches(simulator)][:2] == [
+                        False,
+                        True,
+                    ]
+                    patched.setattr(
+                        counter_cache._EmptyState,
+                        "__call__",
+                        lambda self: pytest.fail("an untouched cache was loaded"),
+                    )
+                result = simulator.run(layer_streams(config, tagged, heap=SecureHeap()))
+            states[backend] = full_state(simulator, result)
+        assert states["vector"] == states["scalar"]
 
 
 class TestScalarFallbackSharesStreams:

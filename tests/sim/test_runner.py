@@ -253,3 +253,23 @@ class TestStageTimers:
         reused = snapshot["counters"]["sim.lower.reused"]
         assert lowered + reused == snapshot["counters"]["sim.cache.misses"]
         assert (lowered, reused) == (2, 1)
+
+    def test_same_shape_layers_with_different_names_lower_once(self):
+        from dataclasses import replace
+
+        from repro.obs.metrics import MetricsRegistry
+
+        traffic = matmul_traffic(64, 64, 64)
+        # The name does not reach the streams: two same-shape layers
+        # under engines of one geometry share a stream set.
+        units = [
+            layer_unit(replace(traffic, name="layers.0"), "Direct"),
+            layer_unit(replace(traffic, name="layers.1"), "Counter"),
+        ]
+        metrics = MetricsRegistry()
+        shared = run_units(units, cache=False, metrics=metrics)
+        assert metrics.timers["sim.lower"].count == 1
+        assert metrics.counter("sim.lower.reused") == 1
+        for unit, result in zip(units, shared):
+            (alone,) = run_units([unit], cache=False)
+            assert_results_identical(result, alone)
